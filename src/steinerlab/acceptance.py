@@ -254,6 +254,15 @@ def criterion_join_oracles() -> CheckReport:
 # -- criterion 4: duality identities -----------------------------------------------------
 
 
+def _is_iso(f: ComplexMap, inv: ComplexMap) -> bool:
+    """``f`` and ``inv`` are valid maps and mutually inverse."""
+    return (
+        validate_map(f).passed
+        and validate_map(inv).passed
+        and verify_mutually_inverse(f, inv).passed
+    )
+
+
 def criterion_dualities() -> CheckReport:
     items: list[CheckItem] = []
     lib = shape_library()
@@ -277,38 +286,32 @@ def criterion_dualities() -> CheckReport:
         for lb, b in pairs:
             for which, swap in (("op", swap_iso_op), ("co", swap_iso_co)):
                 f = swap(a, b)
-                inv = invert_basis_bijection(f)
-                ok = (
-                    validate_map(f).passed
-                    and validate_map(inv).passed
-                    and verify_mutually_inverse(f, inv).passed
-                )
+                ok = _is_iso(f, invert_basis_bijection(f))
                 items.append(CheckItem(f"swap_{which}:{la}*{lb}", ok))
     for n in range(6):
         for which in ("op", "co"):
             f = cube_selfduality(n, which)
-            inv = invert_basis_bijection(f)
-            ok = (
-                validate_map(f).passed
-                and validate_map(inv).passed
-                and verify_mutually_inverse(f, inv).passed
-            )
+            ok = _is_iso(f, invert_basis_bijection(f))
             items.append(CheckItem(f"cube_selfduality({n},{which})", ok))
     rng = random.Random(_SEED + 1)
     for idx in range(50):
         c = random_steiner_complex(rng)
         f = susp_coop_iso(c)
-        inv = ComplexMap(f.target, f.source, f.assignment)
-        ok = (
-            validate_map(f).passed
-            and validate_map(inv).passed
-            and verify_mutually_inverse(f, inv).passed
-        )
+        ok = _is_iso(f, ComplexMap(f.target, f.source, f.assignment))
         items.append(CheckItem(f"susp_coop_iso#{idx}(size={c.size})", ok))
     return report(*items)
 
 
 # -- criterion 5: retraction theorems ------------------------------------------------------
+
+
+def _is_section(embed: ComplexMap, retract: ComplexMap) -> bool:
+    """Both maps are valid and ``retract`` after ``embed`` is the identity."""
+    return (
+        validate_map(embed).passed
+        and validate_map(retract).passed
+        and compose(embed, retract) == identity_map(embed.source)
+    )
 
 
 def criterion_retractions() -> CheckReport:
@@ -327,12 +330,7 @@ def criterion_retractions() -> CheckReport:
         ("oriental(2)", oriental(2)),
         ("cube(2)", cube(2)),
     ]:
-        phi, rho = phi_map(a), rho_map(a)
-        ok = (
-            validate_map(phi).passed
-            and validate_map(rho).passed
-            and compose(phi, rho) == identity_map(phi.source)
-        )
+        ok = _is_section(phi_map(a), rho_map(a))
         items.append(CheckItem(f"phi sections rho:{label}", ok))
     for n in range(5):
         items.append(
@@ -345,12 +343,7 @@ def criterion_retractions() -> CheckReport:
     for total in range(5):
         for n in range(total + 1):
             m = total - n
-            z, t = zeta(n, m), theta_left_inverse(n, m)
-            ok = (
-                validate_map(z).passed
-                and validate_map(t).passed
-                and compose(z, t) == identity_map(z.source)
-            )
+            ok = _is_section(zeta(n, m), theta_left_inverse(n, m))
             items.append(CheckItem(f"zeta/theta({n},{m})", ok))
     rng = random.Random(_SEED + 2)
     specs: list[ThetaSpec] = []
@@ -377,42 +370,21 @@ def criterion_retractions() -> CheckReport:
 
 def criterion_decompositions() -> CheckReport:
     items: list[CheckItem] = []
-    for n in range(2, 7):
-        sub = boundary_decomposition_check("oriental", n)
-        items.append(
-            CheckItem(
-                f"boundary_decomposition(oriental,{n})",
-                sub.passed,
-                None if sub.passed else sub.failures()[0].name,
+    for label, check, family, dims in (
+        ("boundary_decomposition", boundary_decomposition_check, "oriental", range(2, 7)),
+        ("boundary_decomposition", boundary_decomposition_check, "cube", range(2, 6)),
+        ("top_cell_decomposition", top_cell_decomposition_check, "oriental", range(2, 7)),
+        ("top_cell_decomposition", top_cell_decomposition_check, "cube", range(2, 6)),
+    ):
+        for n in dims:
+            sub = check(family, n)
+            items.append(
+                CheckItem(
+                    f"{label}({family},{n})",
+                    sub.passed,
+                    None if sub.passed else sub.failures()[0].name,
+                )
             )
-        )
-    for n in range(2, 6):
-        sub = boundary_decomposition_check("cube", n)
-        items.append(
-            CheckItem(
-                f"boundary_decomposition(cube,{n})",
-                sub.passed,
-                None if sub.passed else sub.failures()[0].name,
-            )
-        )
-    for n in range(2, 7):
-        sub = top_cell_decomposition_check("oriental", n)
-        items.append(
-            CheckItem(
-                f"top_cell_decomposition(oriental,{n})",
-                sub.passed,
-                None if sub.passed else sub.failures()[0].name,
-            )
-        )
-    for n in range(2, 6):
-        sub = top_cell_decomposition_check("cube", n)
-        items.append(
-            CheckItem(
-                f"top_cell_decomposition(cube,{n})",
-                sub.passed,
-                None if sub.passed else sub.failures()[0].name,
-            )
-        )
     return report(*items)
 
 
@@ -466,12 +438,10 @@ def criterion_cells() -> CheckReport:
 
     for label, shape in [("oriental(3)", oriental(3)), ("cube(3)", cube(3))]:
         top_dim = shape.top_degree
-        pool = []
-        for _, g in shape.all_generators():
-            t_ = atom_table(shape, g)
-            while t_.dim < top_dim:
-                t_ = identity_table(t_)
-            pool.append(t_)
+        pool = [
+            _degenerate_at(atom_table(shape, g), top_dim)
+            for _, g in shape.all_generators()
+        ]
         pairs = _composable_pairs(pool)
         composites = [compose_tables(pool[j], pool[i], p) for i, j, p in pairs]
         seen = set()

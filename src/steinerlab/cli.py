@@ -59,25 +59,31 @@ class UsageError(Exception):
     pass
 
 
+def _shape_builders() -> dict:
+    """The one-dimension shape families, by CLI name.  Built per call so that
+    the current module attributes are looked up."""
+    return {
+        "disk": disk,
+        "boundary-disk": boundary_disk,
+        "cube": cube,
+        "oriental": oriental,
+        "antioriental": antioriental,
+    }
+
+
 def _parse_shape_ref(text: str) -> Optional[BasedComplex]:
     plain = {"unit": unit, "zero": zero, "interval": interval}
     if text in plain:
         return plain[text]()
     if ":" in text:
         kind, _, arg = text.partition(":")
-        table = {
-            "disk": disk,
-            "boundary-disk": boundary_disk,
-            "cube": cube,
-            "oriental": oriental,
-            "antioriental": antioriental,
-        }
-        if kind in table:
+        builders = _shape_builders()
+        if kind in builders:
             try:
                 n = int(arg)
             except ValueError:
                 raise UsageError(f"bad shape parameter in {text!r}") from None
-            return table[kind](n)
+            return builders[kind](n)
     return None
 
 
@@ -135,9 +141,11 @@ def _parse_sides(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(sides)
 
 
-def _theta_spec_from_args(args) -> ThetaSpec:
-    dims = _parse_csv_ints(args.dims, "dims")
-    glue = _parse_csv_ints(args.glue, "glue") if args.glue else ()
+def _theta_spec(dims_text: str, args) -> ThetaSpec:
+    """A theta spec from a dims list and the ``--glue``/``--sides`` options;
+    sides default to target-into-left, source-into-right."""
+    dims = _parse_csv_ints(dims_text, "dims")
+    glue = _parse_csv_ints(args.glue, "glue")
     if args.sides:
         sides = _parse_sides(args.sides)
     else:
@@ -167,32 +175,16 @@ def _print_report(report: CheckReport, as_json: bool) -> int:
 
 def _cmd_gen(args) -> int:
     kind = args.shape
-    if kind in ("disk", "boundary-disk", "cube", "oriental", "antioriental"):
+    builders = _shape_builders()
+    if kind in builders:
         if len(args.params) != 1:
             raise UsageError(f"gen {kind} takes one dimension parameter")
         (n,) = _ints(args.params, "dimension")
-        builders = {
-            "disk": disk,
-            "boundary-disk": boundary_disk,
-            "cube": cube,
-            "oriental": oriental,
-            "antioriental": antioriental,
-        }
         value = builders[kind](n)
     elif kind == "theta":
         if len(args.params) != 1:
             raise UsageError("gen theta takes a comma-separated dims list")
-        spec = ThetaSpec(
-            _parse_csv_ints(args.params[0], "dims"),
-            _parse_csv_ints(args.glue, "glue") if args.glue else (),
-            _parse_sides(args.sides)
-            if args.sides
-            else tuple(
-                ("target", "source")
-                for _ in (_parse_csv_ints(args.glue, "glue") if args.glue else ())
-            ),
-        )
-        value = theta(spec)
+        value = theta(_theta_spec(args.params[0], args))
     elif kind == "wedge":
         if len(args.params) != 4:
             raise UsageError("gen wedge takes: complex_a gen_a complex_b gen_b")
@@ -264,18 +256,12 @@ def _cmd_atoms(args) -> int:
     payload = []
     for _, g in gens:
         table = atom_table(c, g)
-        entry = {
-            "generator": render_name(g),
-            "dim": table.dim,
-            "minus": [
+        entry = {"generator": render_name(g), "dim": table.dim}
+        for side, chains in (("minus", table.minus), ("plus", table.plus)):
+            entry[side] = [
                 [{"generator": render_name(n), "coeff": str(v)} for n, v in ch.items()]
-                for ch in table.minus
-            ],
-            "plus": [
-                [{"generator": render_name(n), "coeff": str(v)} for n, v in ch.items()]
-                for ch in table.plus
-            ],
-        }
+                for ch in chains
+            ]
         payload.append(entry)
     if args.json:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
@@ -320,18 +306,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_verify_retract(args) -> int:
     kind = args.kind
-    if kind == "xi":
+    sections = {"xi": section_xi, "q-cube": section_q_cube, "ell": section_ell}
+    if kind in sections:
         if len(args.params) != 1:
-            raise UsageError("verify-retract xi takes one dimension")
-        pair = section_xi(_ints(args.params, "dimension")[0])
-    elif kind == "q-cube":
-        if len(args.params) != 1:
-            raise UsageError("verify-retract q-cube takes one dimension")
-        pair = section_q_cube(_ints(args.params, "dimension")[0])
-    elif kind == "ell":
-        if len(args.params) != 1:
-            raise UsageError("verify-retract ell takes one dimension")
-        pair = section_ell(_ints(args.params, "dimension")[0])
+            raise UsageError(f"verify-retract {kind} takes one dimension")
+        pair = sections[kind](_ints(args.params, "dimension")[0])
     elif kind == "zeta":
         if len(args.params) != 2:
             raise UsageError("verify-retract zeta takes two dimensions")
@@ -341,17 +320,7 @@ def _cmd_verify_retract(args) -> int:
     elif kind == "theta":
         if len(args.params) != 1:
             raise UsageError("verify-retract theta takes a dims list")
-        spec = ThetaSpec(
-            _parse_csv_ints(args.params[0], "dims"),
-            _parse_csv_ints(args.glue, "glue") if args.glue else (),
-            _parse_sides(args.sides)
-            if args.sides
-            else tuple(
-                ("target", "source")
-                for _ in (_parse_csv_ints(args.glue, "glue") if args.glue else ())
-            ),
-        )
-        pair = theta_retract_into_oriental(spec)
+        pair = theta_retract_into_oriental(_theta_spec(args.params[0], args))
     else:
         raise UsageError(f"unknown retraction {kind!r}")
     return _print_report(pair.verify(), args.json)
@@ -447,8 +416,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"io error: {exc}\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        sys.stderr.write(f"error [IO_ERROR]: {exc}\n")
         return 2
     except SteinerlabError as exc:
         sys.stderr.write(f"error [{exc.code}]: {exc}\n")

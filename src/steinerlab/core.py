@@ -144,6 +144,20 @@ def chain_of(degree: int, name: Name, coeff: int = 1) -> Chain:
     return Chain(degree, {name: coeff})
 
 
+def _extend_linearly(chain: Chain, images: Mapping[Name, Chain], degree: int) -> Chain:
+    """The sum of ``coeff * images[name]`` over ``chain``, a chain of ``degree``."""
+    total: dict[Name, int] = {}
+    for name, coeff in chain._coeffs.items():
+        image = images[name]
+        if image.degree != degree:
+            raise DegreeMismatchError(
+                f"cannot add chains of degree {degree} and {image.degree}"
+            )
+        for h, c in image._coeffs.items():
+            total[h] = total.get(h, 0) + coeff * c
+    return Chain(degree, total)
+
+
 @dataclass(frozen=True)
 class CheckItem:
     name: str
@@ -290,10 +304,7 @@ class BasedComplex:
         """Differential, extended linearly; degree-0 chains are rejected."""
         if chain.degree == 0:
             raise DegreeMismatchError("no differential in degree 0", code="DEGREE_ZERO")
-        total = Chain(chain.degree - 1)
-        for name, coeff in chain.items():
-            total = total + coeff * self.diff[name]
-        return total
+        return _extend_linearly(chain, self.diff, chain.degree - 1)
 
     def eps(self, chain: Chain) -> int:
         if chain.degree != 0:
@@ -369,10 +380,7 @@ class ComplexMap:
         raise AttributeError("ComplexMap is immutable")
 
     def __call__(self, chain: Chain) -> Chain:
-        total = Chain(chain.degree)
-        for name, coeff in chain.items():
-            total = total + coeff * self.assignment[name]
-        return total
+        return _extend_linearly(chain, self.assignment, chain.degree)
 
     def of_gen(self, name: Name) -> Chain:
         return self.assignment[name]
@@ -467,21 +475,27 @@ def compose(f: ComplexMap, g: ComplexMap) -> ComplexMap:
     )
 
 
+def coproduct(parts: Iterable[tuple[Name, BasedComplex]]) -> BasedComplex:
+    """Degreewise disjoint union of tagged complexes; names become ``(tag, gen)``."""
+    degrees: dict[int, list[Name]] = {}
+    diff: dict[Name, Chain] = {}
+    aug: dict[Name, int] = {}
+    for tag, part in parts:
+        for deg, g in part.all_generators():
+            name = (tag, g)
+            degrees.setdefault(deg, []).append(name)
+            if deg == 0:
+                aug[name] = part.aug[g]
+            else:
+                diff[name] = Chain(
+                    deg - 1, {(tag, h): c for h, c in part.diff[g].items()}
+                )
+    return BasedComplex(degrees, diff, aug)
+
+
 def direct_sum(a: BasedComplex, b: BasedComplex) -> BasedComplex:
     """Degreewise disjoint union with summand-tagged names ``l``/``r``."""
-    degrees: dict[int, list[Name]] = {}
-    for deg, g in a.all_generators():
-        degrees.setdefault(deg, []).append(("l", g))
-    for deg, g in b.all_generators():
-        degrees.setdefault(deg, []).append(("r", g))
-    diff: dict[Name, Chain] = {}
-    for g, ch in a.diff.items():
-        diff[("l", g)] = Chain(ch.degree, {("l", h): c for h, c in ch.items()})
-    for g, ch in b.diff.items():
-        diff[("r", g)] = Chain(ch.degree, {("r", h): c for h, c in ch.items()})
-    aug: dict[Name, int] = {("l", g): v for g, v in a.aug.items()}
-    aug.update({("r", g): v for g, v in b.aug.items()})
-    return BasedComplex(degrees, diff, aug)
+    return coproduct([("l", a), ("r", b)])
 
 
 def graded_counts(c: BasedComplex) -> dict[int, int]:

@@ -101,32 +101,47 @@ def _parse_gen(text: Any, where: str) -> Name:
         raise ParseError(f"bad generator name in {where}: {exc}") from None
 
 
+def _put_once(table: dict, key: Any, value: Any, what: str, where: str) -> None:
+    """``table[key] = value``, rejecting a key the section already listed."""
+    if key in table:
+        raise ParseError(f"{what} listed twice in {where}")
+    table[key] = value
+
+
+def _parse_terms(entry: dict, where: str) -> dict[Name, int]:
+    terms: dict[Name, int] = {}
+    for t in _need(entry, "terms", where):
+        g = _parse_gen(_need(t, "generator", "terms"), "terms")
+        coeff = _parse_int(_need(t, "coeff", "terms"), "terms")
+        _put_once(terms, g, coeff, f"generator {render_name(g)}", f"terms of {where}")
+    return terms
+
+
 def document_to_complex(doc: dict[str, Any]) -> BasedComplex:
     if _need(doc, "format_version", "document") != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {doc['format_version']!r}")
     degrees: dict[int, list[Name]] = {}
+    gen_degree: dict[Name, int] = {}
     for entry in _need(doc, "degrees", "document"):
         deg = _parse_int(_need(entry, "degree", "degrees"), "degrees")
-        degrees[deg] = [
+        gens = [
             _parse_gen(g, f"degree {deg}") for g in _need(entry, "generators", "degrees")
         ]
-    gen_degree = {g: deg for deg, gens in degrees.items() for g in gens}
+        _put_once(degrees, deg, gens, f"degree {deg}", "degrees")
+        for g in gens:
+            _put_once(gen_degree, g, deg, f"generator {render_name(g)}", "degrees")
     diff: dict[Name, Chain] = {}
     for entry in _need(doc, "differential", "document"):
         g = _parse_gen(_need(entry, "generator", "differential"), "differential")
         if g not in gen_degree:
             raise ParseError(f"differential on unknown generator {render_name(g)}")
-        terms = {
-            _parse_gen(_need(t, "generator", "terms"), "terms"): _parse_int(
-                _need(t, "coeff", "terms"), "terms"
-            )
-            for t in _need(entry, "terms", "differential")
-        }
-        diff[g] = Chain(gen_degree[g] - 1, terms)
+        chain = Chain(gen_degree[g] - 1, _parse_terms(entry, "differential"))
+        _put_once(diff, g, chain, f"generator {render_name(g)}", "differential")
     aug: dict[Name, int] = {}
     for entry in _need(doc, "augmentation", "document"):
         g = _parse_gen(_need(entry, "generator", "augmentation"), "augmentation")
-        aug[g] = _parse_int(_need(entry, "value", "augmentation"), "augmentation")
+        value = _parse_int(_need(entry, "value", "augmentation"), "augmentation")
+        _put_once(aug, g, value, f"generator {render_name(g)}", "augmentation")
     try:
         result = BasedComplex(degrees, diff, aug)
     except MalformedError as exc:
@@ -148,13 +163,8 @@ def document_to_map(doc: dict[str, Any]) -> ComplexMap:
         g = _parse_gen(_need(entry, "generator", "assignment"), "assignment")
         if not source.has_generator(g):
             raise ParseError(f"assignment on unknown generator {render_name(g)}")
-        terms = {
-            _parse_gen(_need(t, "generator", "terms"), "terms"): _parse_int(
-                _need(t, "coeff", "terms"), "terms"
-            )
-            for t in _need(entry, "terms", "assignment")
-        }
-        assignment[g] = Chain(source.degree_of(g), terms)
+        chain = Chain(source.degree_of(g), _parse_terms(entry, "assignment"))
+        _put_once(assignment, g, chain, f"generator {render_name(g)}", "assignment")
     try:
         result = ComplexMap(source, target, assignment)
     except MalformedError as exc:

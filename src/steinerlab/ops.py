@@ -17,12 +17,15 @@ Sign conventions, fixed once for the whole library:
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .basic import interval, two_points, unit
 from .colimits import NonBasedPushoutError, PushoutResult, pushout
 from .core import (
     BasedComplex,
     Chain,
     ComplexMap,
+    basis_renaming_map,
     chain_of,
     compose,
     direct_sum,
@@ -112,32 +115,23 @@ def dual_co_map(f: ComplexMap) -> ComplexMap:
     return _dual_of_map(f, dual_co)
 
 
+def _swap_iso(a: BasedComplex, b: BasedComplex, dual) -> ComplexMap:
+    """The isomorphism ``dual(a) (x) dual(b) -> dual(b (x) a)`` on basis pairs."""
+    return basis_renaming_map(
+        gray_tensor(dual(a), dual(b)),
+        dual(gray_tensor(b, a)),
+        lambda gen: ("t", gen[2], gen[1]),
+    )
+
+
 def swap_iso_op(a: BasedComplex, b: BasedComplex) -> ComplexMap:
     """The isomorphism ``a^op (x) b^op -> (b (x) a)^op`` on basis pairs."""
-    source = gray_tensor(dual_op(a), dual_op(b))
-    target = dual_op(gray_tensor(b, a))
-    return ComplexMap(
-        source,
-        target,
-        {
-            gen: chain_of(deg, ("t", gen[2], gen[1]))
-            for deg, gen in source.all_generators()
-        },
-    )
+    return _swap_iso(a, b, dual_op)
 
 
 def swap_iso_co(a: BasedComplex, b: BasedComplex) -> ComplexMap:
     """The isomorphism ``a^co (x) b^co -> (b (x) a)^co`` on basis pairs."""
-    source = gray_tensor(dual_co(a), dual_co(b))
-    target = dual_co(gray_tensor(b, a))
-    return ComplexMap(
-        source,
-        target,
-        {
-            gen: chain_of(deg, ("t", gen[2], gen[1]))
-            for deg, gen in source.all_generators()
-        },
-    )
+    return _swap_iso(a, b, dual_co)
 
 
 def cube_selfduality(n: int, which: str) -> ComplexMap:
@@ -161,11 +155,9 @@ def cube_selfduality(n: int, which: str) -> ComplexMap:
             out = "".join(flip[ch] for ch in out)
         return out
 
-    assignment = {
-        gen: chain_of(deg, (transform(gen[0]),) if n else gen)
-        for deg, gen in source.all_generators()
-    }
-    return ComplexMap(source, dual, assignment)
+    return basis_renaming_map(
+        source, dual, lambda gen: (transform(gen[0]),) if n else gen
+    )
 
 
 # -- join, suspension, and their duals ----------------------------------------
@@ -175,32 +167,45 @@ def _tensor3(a: BasedComplex, mid: BasedComplex, b: BasedComplex) -> BasedComple
     return gray_tensor(gray_tensor(a, mid), b)
 
 
+def _collapse_pushout(
+    cyl: BasedComplex,
+    ends: BasedComplex,
+    sides: BasedComplex,
+    collapse_end: Callable[[int, Name], Chain],
+) -> PushoutResult:
+    """Push the cylinder out along its two ends, each end generator
+    collapsing onto ``sides`` by ``collapse_end(degree, generator)``."""
+    include = basis_renaming_map(ends, cyl, lambda g: g)
+    collapse = ComplexMap(
+        ends,
+        sides,
+        {gen: collapse_end(deg, gen) for deg, gen in ends.all_generators()},
+    )
+    return pushout(include, collapse)
+
+
+def _eps_times(degree: int, name: Name, a: BasedComplex, x: Name) -> Chain:
+    """``eps(x) * name`` when ``x`` is a vertex of ``a``, else the zero chain."""
+    if a.degree_of(x) == 0:
+        return Chain(degree, {name: a.aug[x]})
+    return Chain(degree)
+
+
 def join_pushout(a: BasedComplex, b: BasedComplex) -> PushoutResult:
     """The defining pushout of the join, with raw (un-renamed) names."""
-    cyl = _tensor3(a, interval(), b)
-    ends = _tensor3(a, two_points(), b)
-    include = ComplexMap(
-        ends,
-        cyl,
-        {g: chain_of(deg, g) for deg, g in ends.all_generators()},
-    )
-    sides = direct_sum(a, b)
-    assignment: dict[Name, Chain] = {}
-    for deg, gen in ends.all_generators():
-        _, pair, y = gen
-        _, x, end = pair
+
+    def collapse_end(deg: int, gen: Name) -> Chain:
+        _, (_, x, end), y = gen
         if end == ("0",):
-            if b.degree_of(y) == 0:
-                assignment[gen] = Chain(deg, {("l", x): b.aug[y]})
-            else:
-                assignment[gen] = Chain(deg)
-        else:
-            if a.degree_of(x) == 0:
-                assignment[gen] = Chain(deg, {("r", y): a.aug[x]})
-            else:
-                assignment[gen] = Chain(deg)
-    collapse = ComplexMap(ends, sides, assignment)
-    return pushout(include, collapse)
+            return _eps_times(deg, ("l", x), b, y)
+        return _eps_times(deg, ("r", y), a, x)
+
+    return _collapse_pushout(
+        _tensor3(a, interval(), b),
+        _tensor3(a, two_points(), b),
+        direct_sum(a, b),
+        collapse_end,
+    )
 
 
 def join(a: BasedComplex, b: BasedComplex) -> BasedComplex:
@@ -250,11 +255,7 @@ def join_swap_iso_op(a: BasedComplex, b: BasedComplex) -> ComplexMap:
             return ("jl", g[1])
         return ("j", g[2], g[1])
 
-    return ComplexMap(
-        source,
-        target,
-        {gen: chain_of(deg, swap(gen)) for deg, gen in source.all_generators()},
-    )
+    return basis_renaming_map(source, target, swap)
 
 
 def suspension(a: BasedComplex) -> BasedComplex:
@@ -294,22 +295,17 @@ def suspension_map(f: ComplexMap) -> ComplexMap:
 
 def suspension_pushout(a: BasedComplex) -> PushoutResult:
     """The defining pushout of the suspension (used as an oracle)."""
-    cyl = gray_tensor(a, interval())
-    ends = gray_tensor(a, two_points())
-    include = ComplexMap(
-        ends, cyl, {g: chain_of(deg, g) for deg, g in ends.all_generators()}
-    )
-    poles = two_points()
-    assignment: dict[Name, Chain] = {}
-    for deg, gen in ends.all_generators():
+
+    def collapse_end(deg: int, gen: Name) -> Chain:
         _, x, end = gen
-        if a.degree_of(x) == 0:
-            pole = ("0",) if end == ("0",) else ("1",)
-            assignment[gen] = Chain(0, {pole: a.aug[x]})
-        else:
-            assignment[gen] = Chain(deg)
-    collapse = ComplexMap(ends, poles, assignment)
-    return pushout(include, collapse)
+        return _eps_times(deg, end, a, x)
+
+    return _collapse_pushout(
+        gray_tensor(a, interval()),
+        gray_tensor(a, two_points()),
+        two_points(),
+        collapse_end,
+    )
 
 
 def antisuspension(a: BasedComplex) -> BasedComplex:
@@ -321,33 +317,23 @@ def antisuspension(a: BasedComplex) -> BasedComplex:
 def antisuspension_pushout(a: BasedComplex) -> PushoutResult:
     """The left-cylinder pushout presenting the antisuspension (the oracle
     for the mirror-image bicone presentation)."""
-    cyl = gray_tensor(interval(), a)
-    ends = gray_tensor(two_points(), a)
-    include = ComplexMap(
-        ends, cyl, {g: chain_of(deg, g) for deg, g in ends.all_generators()}
-    )
-    poles = two_points()
-    assignment: dict[Name, Chain] = {}
-    for deg, gen in ends.all_generators():
+
+    def collapse_end(deg: int, gen: Name) -> Chain:
         _, end, x = gen
-        if a.degree_of(x) == 0:
-            assignment[gen] = Chain(0, {end: a.aug[x]})
-        else:
-            assignment[gen] = Chain(deg)
-    collapse = ComplexMap(ends, poles, assignment)
-    return pushout(include, collapse)
+        return _eps_times(deg, end, a, x)
+
+    return _collapse_pushout(
+        gray_tensor(interval(), a),
+        gray_tensor(two_points(), a),
+        two_points(),
+        collapse_end,
+    )
 
 
 def susp_coop_iso(a: BasedComplex) -> ComplexMap:
     """The identity of the underlying graded group as an isomorphism from the
     suspension of ``a`` to the antisuspension of ``a^coop``."""
-    source = suspension(a)
-    target = antisuspension(dual_coop(a))
-    return ComplexMap(
-        source,
-        target,
-        {g: chain_of(deg, g) for deg, g in source.all_generators()},
-    )
+    return basis_renaming_map(suspension(a), antisuspension(dual_coop(a)), lambda g: g)
 
 
 # -- quotient maps between tensor, join, and suspension ------------------------
@@ -365,10 +351,7 @@ def p_map(a: BasedComplex) -> ComplexMap:
         elif v == ("0",):
             assignment[gen] = chain_of(deg, ("jl", x))
         else:
-            if a.degree_of(x) == 0:
-                assignment[gen] = Chain(0, {("jr", ("u",)): a.aug[x]})
-            else:
-                assignment[gen] = Chain(deg)
+            assignment[gen] = _eps_times(deg, ("jr", ("u",)), a, x)
     return ComplexMap(source, target, assignment)
 
 
@@ -380,11 +363,7 @@ def ell_map(a: BasedComplex) -> ComplexMap:
     assignment: dict[Name, Chain] = {}
     for deg, gen in source.all_generators():
         if gen[0] == "jl":
-            x = gen[1]
-            if a.degree_of(x) == 0:
-                assignment[gen] = Chain(0, {("b0",): a.aug[x]})
-            else:
-                assignment[gen] = Chain(deg)
+            assignment[gen] = _eps_times(deg, ("b0",), a, gen[1])
         elif gen[0] == "jr":
             assignment[gen] = chain_of(0, ("b1",))
         else:
@@ -409,8 +388,5 @@ def left_p_map(a: BasedComplex) -> ComplexMap:
         elif v == ("1",):
             assignment[gen] = chain_of(deg, ("jr", y))
         else:
-            if a.degree_of(y) == 0:
-                assignment[gen] = Chain(0, {("jl", ("u",)): a.aug[y]})
-            else:
-                assignment[gen] = Chain(deg)
+            assignment[gen] = _eps_times(deg, ("jl", ("u",)), a, y)
     return ComplexMap(source, target, assignment)

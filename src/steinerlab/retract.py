@@ -35,7 +35,6 @@ from .ops import (
     gray_tensor,
     gray_tensor_map,
     join,
-    left_p_map,
     p_map,
     suspension,
     suspension_map,
@@ -282,12 +281,6 @@ def section_q_cube(n: int) -> RetractionPair:
 def p_oriental(n: int) -> ComplexMap:
     """The quotient ``oriental(n) (x) interval -> oriental(n+1)``."""
     return compose(p_map(oriental(n)), right_cone_renaming(n + 1))
-
-
-def left_q_oriental(n: int) -> ComplexMap:
-    """The quotient ``interval (x) oriental(n) -> oriental(n+1)`` collapsing
-    the 0 end onto the new initial vertex."""
-    return compose(left_p_map(oriental(n)), left_cone_renaming(n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .basic import interval, unit, zero
 from .colimits import (
+    PushoutResult,
     coequalizer,
     induced_from_coequalizer,
     induced_from_pushout,
@@ -27,8 +28,10 @@ from .core import (
     ComplexMap,
     MalformedError,
     SteinerlabError,
+    basis_renaming_map,
     chain_of,
     compose,
+    coproduct,
     equal_presentation,
     identity_map,
     invert_basis_bijection,
@@ -123,11 +126,8 @@ def disk_inclusion(j: int, i: int, side: str) -> ComplexMap:
     src = disk(j)
     if j == i:
         return identity_map(src)
-    assignment: dict[Name, Chain] = {
-        g: chain_of(deg, g) for deg, g in src.all_generators()
-    }
-    assignment[disk_top_gen(j)] = chain_of(j, disk_side_gen(j, side))
-    return ComplexMap(src, disk(i), assignment)
+    top, side_gen = disk_top_gen(j), disk_side_gen(j, side)
+    return basis_renaming_map(src, disk(i), lambda g: side_gen if g == top else g)
 
 
 # -- cubes ----------------------------------------------------------------
@@ -308,23 +308,18 @@ def wedge_with_legs(
         if y != marked_b:
             table[("r", y)] = ("wr", y)
     renamed = quotient.renamed(lambda g_: table[g_])
-    leg_a = ComplexMap(
-        a,
-        renamed,
-        {
-            x: Chain(deg, {table[h]: c for h, c in result.leg_a.of_gen(x).items()})
-            for deg, x in a.all_generators()
-        },
-    )
-    leg_b = ComplexMap(
-        b,
-        renamed,
-        {
-            y: Chain(deg, {table[h]: c for h, c in result.leg_b.of_gen(y).items()})
-            for deg, y in b.all_generators()
-        },
-    )
-    return renamed, leg_a, leg_b
+
+    def relabeled(leg: ComplexMap) -> ComplexMap:
+        return ComplexMap(
+            leg.source,
+            renamed,
+            {
+                x: Chain(deg, {table[h]: c for h, c in leg.of_gen(x).items()})
+                for deg, x in leg.source.all_generators()
+            },
+        )
+
+    return renamed, relabeled(result.leg_a), relabeled(result.leg_b)
 
 
 def wedge(
@@ -345,24 +340,6 @@ def truncate_top(c: BasedComplex) -> BasedComplex:
 
 
 # -- boundary decompositions --------------------------------------------------
-
-
-def _coproduct(parts: list[tuple[Name, BasedComplex]]) -> BasedComplex:
-    """Disjoint union of tagged complexes; names become ``(tag, gen)``."""
-    degrees: dict[int, list[Name]] = {}
-    diff: dict[Name, Chain] = {}
-    aug: dict[Name, int] = {}
-    for tag, part in parts:
-        for deg, g in part.all_generators():
-            name = (tag, g)
-            degrees.setdefault(deg, []).append(name)
-            if deg == 0:
-                aug[name] = part.aug[g]
-            else:
-                diff[name] = Chain(
-                    deg - 1, {(tag, h): c for h, c in part.diff[g].items()}
-                )
-    return BasedComplex(degrees, diff, aug)
 
 
 def _word_insert(word: str, pos: int, letter: str) -> str:
@@ -430,6 +407,35 @@ def _decomposition_data(family: str, n: int):
     return shape, faces, doubles, into_first, into_second, face_into_shape
 
 
+def _induced_iso_items(
+    prefix: str,
+    result: PushoutResult,
+    induced: ComplexMap,
+    label: str,
+    expected: BasedComplex,
+) -> list[CheckItem]:
+    """INDUCED_ISO, then, if it holds, EQUALS_<label>: the colimit renamed
+    along the induced basis bijection is exactly ``expected``."""
+    try:
+        invert_basis_bijection(induced)
+        iso_ok = True
+    except MalformedError:
+        iso_ok = False
+    items = [CheckItem(f"{prefix}:INDUCED_ISO", iso_ok, None)]
+    if iso_ok:
+        renamed = result.require_based().renamed(
+            lambda g: induced.of_gen(g).items()[0][0]
+        )
+        items.append(
+            CheckItem(
+                f"{prefix}:EQUALS_{label}",
+                equal_presentation(renamed, expected) and renamed == expected,
+                None,
+            )
+        )
+    return items
+
+
 def boundary_decomposition_check(family: str, n: int) -> CheckReport:
     """Verify that the boundary of the n-shape is the coequalizer of its
     codimension-2 faces mapping into its codimension-1 faces."""
@@ -438,16 +444,15 @@ def boundary_decomposition_check(family: str, n: int) -> CheckReport:
     shape, faces, doubles, into_first, into_second, face_into_shape = (
         _decomposition_data(family, n)
     )
-    face_cop = _coproduct([(("f",) + tag, part) for tag, part in faces])
-    double_cop = _coproduct([(("e",) + tag, part) for tag, part in doubles])
+    face_cop = coproduct([(("f",) + tag, part) for tag, part in faces])
+    double_cop = coproduct([(("e",) + tag, part) for tag, part in doubles])
 
     def build_parallel(into) -> ComplexMap:
-        assignment: dict[Name, Chain] = {}
-        for deg, gen in double_cop.all_generators():
-            tag, g = gen[0][1:], gen[1]
-            face_tag, image = into(tag, g)
-            assignment[gen] = chain_of(deg, (("f",) + face_tag, image))
-        return ComplexMap(double_cop, face_cop, assignment)
+        def rename(gen: Name) -> Name:
+            face_tag, image = into(gen[0][1:], gen[1])
+            return (("f",) + face_tag, image)
+
+        return basis_renaming_map(double_cop, face_cop, rename)
 
     r = build_parallel(into_first)
     s = build_parallel(into_second)
@@ -463,35 +468,14 @@ def boundary_decomposition_check(family: str, n: int) -> CheckReport:
         return report(*items)
 
     boundary = truncate_top(shape)
-    cocone = ComplexMap(
-        face_cop,
-        boundary,
-        {
-            gen: chain_of(deg, face_into_shape(gen[0][1:], gen[1]))
-            for deg, gen in face_cop.all_generators()
-        },
+    cocone = basis_renaming_map(
+        face_cop, boundary, lambda gen: face_into_shape(gen[0][1:], gen[1])
     )
     if compose(r, cocone) != compose(s, cocone):
         items.append(CheckItem(f"{family}:{n}:COCONE_COEQUALIZES", False, None))
         return report(*items)
     induced = induced_from_coequalizer(result, cocone)
-    try:
-        invert_basis_bijection(induced)
-        iso_ok = True
-    except MalformedError:
-        iso_ok = False
-    items.append(CheckItem(f"{family}:{n}:INDUCED_ISO", iso_ok, None))
-    if iso_ok:
-        renamed = result.require_based().renamed(
-            lambda g: induced.of_gen(g).items()[0][0]
-        )
-        items.append(
-            CheckItem(
-                f"{family}:{n}:EQUALS_TRUNCATION",
-                equal_presentation(renamed, boundary) and renamed == boundary,
-                None,
-            )
-        )
+    items += _induced_iso_items(f"{family}:{n}", result, induced, "TRUNCATION", boundary)
     items.append(
         CheckItem(
             f"{family}:{n}:COLIMIT_VALID",
@@ -525,9 +509,7 @@ def top_cell_decomposition_check(family: str, n: int) -> CheckReport:
         attach_assignment[disk_side_gen(k, "source")] = table.minus[k]
         attach_assignment[disk_side_gen(k, "target")] = table.plus[k]
     attach = ComplexMap(bd, boundary, attach_assignment)
-    include = ComplexMap(
-        bd, disk(n), {g: chain_of(deg, g) for deg, g in bd.all_generators()}
-    )
+    include = basis_renaming_map(bd, disk(n), lambda g: g)
     items.append(
         CheckItem(f"{family}:{n}:ATTACH_VALID", validate_map(attach).passed, None)
     )
@@ -540,32 +522,12 @@ def top_cell_decomposition_check(family: str, n: int) -> CheckReport:
     )
     if not result.based:
         return report(*items)
-    u = ComplexMap(
-        boundary,
-        shape,
-        {g: chain_of(deg, g) for deg, g in boundary.all_generators()},
-    )
+    u = basis_renaming_map(boundary, shape, lambda g: g)
     v_assignment = dict(attach_assignment)
     v_assignment[disk_top_gen(n)] = chain_of(n, top)
     v = ComplexMap(disk(n), shape, v_assignment)
     induced = induced_from_pushout(result, v, u)
-    try:
-        invert_basis_bijection(induced)
-        iso_ok = True
-    except MalformedError:
-        iso_ok = False
-    items.append(CheckItem(f"{family}:{n}:INDUCED_ISO", iso_ok, None))
-    if iso_ok:
-        renamed = result.require_based().renamed(
-            lambda g: induced.of_gen(g).items()[0][0]
-        )
-        items.append(
-            CheckItem(
-                f"{family}:{n}:EQUALS_SHAPE",
-                equal_presentation(renamed, shape) and renamed == shape,
-                None,
-            )
-        )
+    items += _induced_iso_items(f"{family}:{n}", result, induced, "SHAPE", shape)
     return report(*items)
 
 

@@ -73,6 +73,50 @@ def test_parse_rejects_broken_d2():
     assert any(i.name == "D2_ZERO" for i in err.value.report.failures())
 
 
+_REPEATED_ENTRIES = {
+    "degree": (
+        lambda doc: doc["degrees"].append(dict(doc["degrees"][0])),
+        "degree 0 listed twice in degrees",
+    ),
+    "degree generator": (
+        lambda doc: doc["degrees"][0]["generators"].append("1"),
+        "generator 1 listed twice in degrees",
+    ),
+    # a second, empty entry for i would otherwise turn d(i) = 1 - 0 into 0
+    "differential": (
+        lambda doc: doc["differential"].append({"generator": "i", "terms": []}),
+        "generator i listed twice in differential",
+    ),
+    "augmentation": (
+        lambda doc: doc["augmentation"].append({"generator": "0", "value": "5"}),
+        "generator 0 listed twice in augmentation",
+    ),
+    "differential term": (
+        lambda doc: doc["differential"][0]["terms"].append({"generator": "1", "coeff": "0"}),
+        "generator 1 listed twice in terms of differential",
+    ),
+    "assignment": (
+        lambda doc: doc["assignment"].append(dict(doc["assignment"][0])),
+        "generator 0 listed twice in assignment",
+    ),
+    "assignment term": (
+        lambda doc: doc["assignment"][0]["terms"].append(doc["assignment"][0]["terms"][0]),
+        "generator 00 listed twice in terms of assignment",
+    ),
+}
+
+
+@pytest.mark.parametrize("section", list(_REPEATED_ENTRIES))
+def test_parse_rejects_repeated_entries(section):
+    from steinerlab import interval
+
+    repeat, message = _REPEATED_ENTRIES[section]
+    doc = json.loads(emit(s2() if section.startswith("assignment") else interval()))
+    repeat(doc)
+    with pytest.raises(ParseError, match=message):
+        parse(json.dumps(doc))
+
+
 def test_big_coefficients_survive():
     from steinerlab import BasedComplex, Chain
 
@@ -147,12 +191,31 @@ def test_cli_gen_wedge(capsys):
     assert graded_counts(value) == {0: 3, 1: 2}
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(tmp_path, capsys):
     assert main(["gen", "disk"]) == 2
     assert main(["op", "nonsense", "unit"]) == 2
     assert main(["check", "boundary-decomp", "pyramid", "3"]) == 2
     assert main(["info", "/does/not/exist.json"]) == 2
+    assert main(["gen", "theta", "2,2", "--glue", "1", "--sides", "xx"]) == 2
+    assert main(["gen", "cube", "x"]) == 2
+    assert main(["info", "cube:x"]) == 2
     capsys.readouterr()
+    assert main(["info", str(tmp_path)]) == 2
+    assert "error [IO_ERROR]" in capsys.readouterr().err
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"kind": "complex", "note": "\xff"}')
+    assert main(["info", str(not_utf8)]) == 2
+    assert "error [IO_ERROR]" in capsys.readouterr().err
+
+
+def test_cli_theta_glue_and_sides(capsys):
+    from steinerlab import graded_counts
+
+    assert main(["gen", "theta", "2,2", "--glue", "1", "--sides", "st"]) == 0
+    value = parse(capsys.readouterr().out)
+    assert graded_counts(value) == {0: 2, 1: 3, 2: 2}
+    assert main(["verify-retract", "theta", "2,1,2", "--glue", "1,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASSED"
 
 
 def test_cli_atoms(capsys):

@@ -172,13 +172,27 @@ def test_truncate_commutes_with_duals():
 
 
 def test_boundary_decomposition_small():
-    assert boundary_decomposition_check("oriental", 2).passed
-    assert boundary_decomposition_check("cube", 3).passed
+    for family, n in (("oriental", 2), ("cube", 3)):
+        result = boundary_decomposition_check(family, n)
+        assert result.passed
+        assert [item.name for item in result.checks] == [
+            f"{family}:{n}:COLIMIT_BASED",
+            f"{family}:{n}:INDUCED_ISO",
+            f"{family}:{n}:EQUALS_TRUNCATION",
+            f"{family}:{n}:COLIMIT_VALID",
+        ]
     with pytest.raises(BadDimsError):
         boundary_decomposition_check("oriental", 1)
 
 
 def test_top_cell_decomposition_small():
-    assert top_cell_decomposition_check("oriental", 1).passed
-    assert top_cell_decomposition_check("oriental", 2).passed
-    assert top_cell_decomposition_check("cube", 2).passed
+    for family, n in (("oriental", 1), ("oriental", 2), ("cube", 2)):
+        result = top_cell_decomposition_check(family, n)
+        assert result.passed
+        assert [item.name for item in result.checks] == [
+            f"{family}:{n}:UNIQUE_TOP_CELL",
+            f"{family}:{n}:ATTACH_VALID",
+            f"{family}:{n}:COLIMIT_BASED",
+            f"{family}:{n}:INDUCED_ISO",
+            f"{family}:{n}:EQUALS_SHAPE",
+        ]
