@@ -30,7 +30,6 @@ from .core import (
     verify_mutually_inverse,
 )
 from .io import emit, parse
-from .names import Name
 from .ops import (
     cube_selfduality,
     dual_co,
@@ -38,6 +37,7 @@ from .ops import (
     dual_op,
     gray_tensor,
     join,
+    join_pushout,
     suspension,
     susp_coop_iso,
     swap_iso_co,
@@ -200,41 +200,6 @@ def criterion_counts() -> CheckReport:
 # -- criterion 3: construction cross-checks --------------------------------------------
 
 
-def join_unit_closed_form(a: BasedComplex) -> BasedComplex:
-    """The expected presentation of ``join(a, unit)``: the original part, a
-    shifted copy, and one new terminal vertex.
-
-    On the shifted copy of a degree-(l-1) generator the differential is
-    ``(-1)^l`` times the original generator plus the shifted boundary; on a
-    shifted vertex it is the new vertex (weighted by augmentation) minus the
-    original.  The identity-component signs are calibrated against the
-    iterated-join construction of the orientals (see the decisions ledger
-    for the sign discrepancy with the source's displayed closed form).
-    """
-    u = ("u",)
-    degrees: dict[int, list[Name]] = {0: [("jr", u)]}
-    diff: dict[Name, Chain] = {}
-    aug: dict[Name, int] = {("jr", u): 1}
-    for deg, x in a.all_generators():
-        degrees.setdefault(deg, []).append(("jl", x))
-        degrees.setdefault(deg + 1, []).append(("j", x, u))
-        if deg == 0:
-            aug[("jl", x)] = a.aug[x]
-            diff[("j", x, u)] = Chain(
-                0, {("jl", x): -1, ("jr", u): a.aug[x]}
-            )
-        else:
-            diff[("jl", x)] = Chain(
-                deg - 1, {("jl", y): c for y, c in a.diff[x].items()}
-            )
-            sign = 1 if (deg + 1) % 2 == 0 else -1
-            terms: dict[Name, int] = {("jl", x): sign}
-            for y, c in a.diff[x].items():
-                terms[("j", y, u)] = c
-            diff[("j", x, u)] = Chain(deg, terms)
-    return BasedComplex(degrees, diff, aug)
-
-
 def criterion_join_oracles() -> CheckReport:
     items: list[CheckItem] = []
     for n in range(7):
@@ -246,7 +211,7 @@ def criterion_join_oracles() -> CheckReport:
     cases += [(f"oriental({k})", oriental(k)) for k in range(4)]
     cases.append(("cube(2)", cube(2)))
     for label, a in cases:
-        ok = join(a, unit()) == join_unit_closed_form(a)
+        ok = equal_presentation(join(a, unit()), join_pushout(a, unit()).require_based())
         items.append(CheckItem(f"join({label}, unit) closed form", ok))
     return report(*items)
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import acceptance
 from .basic import interval, unit, zero
 from .core import BasedComplex, CheckReport, SteinerlabError, graded_counts, validate_complex
-from .io import emit, parse
+from .io import _chain_terms, emit, parse
 from .names import parse_name, render_name
 from .ops import (
     antijoin,
@@ -258,10 +258,7 @@ def _cmd_atoms(args) -> int:
         table = atom_table(c, g)
         entry = {"generator": render_name(g), "dim": table.dim}
         for side, chains in (("minus", table.minus), ("plus", table.plus)):
-            entry[side] = [
-                [{"generator": render_name(n), "coeff": str(v)} for n, v in ch.items()]
-                for ch in chains
-            ]
+            entry[side] = [_chain_terms(ch) for ch in chains]
         payload.append(entry)
     if args.json:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")

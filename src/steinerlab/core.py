@@ -528,15 +528,20 @@ def verify_mutually_inverse(f: ComplexMap, g: ComplexMap) -> CheckReport:
     )
 
 
+def sole_generator(chain: Chain) -> Name:
+    """The generator of a chain that is one generator with coefficient one;
+    raises :class:`MalformedError` on any other chain."""
+    items = list(chain._coeffs.items())
+    if len(items) != 1 or items[0][1] != 1:
+        support = " ".join(render_name(n) for n in chain.support())
+        raise MalformedError(f"not one generator with coefficient 1: [{support}]")
+    return items[0][0]
+
+
 def invert_basis_bijection(f: ComplexMap) -> ComplexMap:
     """Invert a map that sends each generator to a single generator with
     coefficient one.  Raises if ``f`` is not of that shape or not bijective."""
-    table: dict[Name, Name] = {}
-    for _, g in f.source.all_generators():
-        items = f.of_gen(g).items()
-        if len(items) != 1 or items[0][1] != 1:
-            raise MalformedError(f"map is not a basis bijection at {render_name(g)}")
-        table[g] = items[0][0]
+    table = {g: sole_generator(f.of_gen(g)) for _, g in f.source.all_generators()}
     if len(set(table.values())) != f.target.size or f.source.size != f.target.size:
         raise MalformedError("map is not bijective on bases")
     inverse = {h: chain_of(f.target.degree_of(h), g) for g, h in table.items()}

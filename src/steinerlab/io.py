@@ -10,6 +10,7 @@ embedding the failing report in the error.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Union
 
 from .core import (
@@ -39,9 +40,42 @@ class ValidationError(SteinerlabError):
         self.report = report
 
 
+# CPython refuses int<->str conversions above 4300 digits by default; longer
+# values go through base-10**4000 chunks, each well below that limit.
+_CHUNK_DIGITS = 4000
+_CHUNK = 10**_CHUNK_DIGITS
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _int_to_text(value: int) -> str:
+    """``str(value)`` for an integer of any size."""
+    if value.bit_length() <= 13_000:  # at most 3914 digits
+        return str(value)
+    sign, value = ("-", -value) if value < 0 else ("", value)
+    chunks: list[str] = []
+    while value:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    return sign + "".join(reversed(chunks)).lstrip("0")
+
+
+def _text_to_int(text: str) -> int:
+    """``int(text)`` for a decimal string (optional sign, ASCII digits) of any length."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError("not a decimal integer")
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    digits = text.lstrip("+-")
+    first = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    value = int(digits[:first])
+    for start in range(first, len(digits), _CHUNK_DIGITS):
+        value = value * _CHUNK + int(digits[start : start + _CHUNK_DIGITS])
+    return -value if text[0] == "-" else value
+
+
 def _chain_terms(chain: Chain) -> list[dict[str, str]]:
     return [
-        {"generator": render_name(n), "coeff": str(c)} for n, c in chain.items()
+        {"generator": render_name(n), "coeff": _int_to_text(c)} for n, c in chain.items()
     ]
 
 
@@ -60,7 +94,7 @@ def complex_to_document(c: BasedComplex) -> dict[str, Any]:
             for g in c.degrees[deg]
         ],
         "augmentation": [
-            {"generator": render_name(g), "value": str(c.aug[g])}
+            {"generator": render_name(g), "value": _int_to_text(c.aug[g])}
             for g in c.generators(0)
         ],
     }
@@ -86,10 +120,18 @@ def _need(doc: dict, key: str, where: str):
 
 
 def _parse_int(text: Any, where: str) -> int:
+    """A JSON integer, or a decimal string of any length."""
     try:
-        return int(text)
-    except (TypeError, ValueError):
+        return _text_to_int(text) if isinstance(text, str) else int(text)
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"bad integer {text!r} in {where}") from None
+
+
+def _parse_degree(text: Any) -> int:
+    """A degree: as :func:`_parse_int`, but short enough for messages to print."""
+    if isinstance(text, str) and len(text) > _CHUNK_DIGITS:
+        raise ParseError(f"bad integer in degrees: over {_CHUNK_DIGITS} digits")
+    return _parse_int(text, "degrees")
 
 
 def _parse_gen(text: Any, where: str) -> Name:
@@ -123,7 +165,7 @@ def document_to_complex(doc: dict[str, Any]) -> BasedComplex:
     degrees: dict[int, list[Name]] = {}
     gen_degree: dict[Name, int] = {}
     for entry in _need(doc, "degrees", "document"):
-        deg = _parse_int(_need(entry, "degree", "degrees"), "degrees")
+        deg = _parse_degree(_need(entry, "degree", "degrees"))
         gens = [
             _parse_gen(g, f"degree {deg}") for g in _need(entry, "generators", "degrees")
         ]
@@ -193,6 +235,8 @@ def parse(text: str) -> Union[BasedComplex, ComplexMap]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+    except ValueError:  # a bare JSON integer over the int/str digit limit
+        raise ParseError("invalid JSON: integer literal too long") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     kind = _need(doc, "kind", "document")

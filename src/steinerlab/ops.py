@@ -12,7 +12,8 @@ Sign conventions, fixed once for the whole library:
   left factor and the ``{1}`` end to the right factor, which calibrates the
   join so that iterated joins of the point carry the alternating-face-sum
   differential, and the suspension so that ``d(S x) = eps(x)(top - bottom)``
-  on vertices.
+  on vertices; ``join`` and ``suspension`` are closed forms checked against
+  these pushouts (``join_pushout``, ``suspension_pushout``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .basic import interval, two_points, unit
-from .colimits import NonBasedPushoutError, PushoutResult, pushout
+from .colimits import PushoutResult, pushout
 from .core import (
     BasedComplex,
     Chain,
@@ -28,6 +29,7 @@ from .core import (
     basis_renaming_map,
     chain_of,
     compose,
+    coproduct,
     direct_sum,
 )
 from .names import Name
@@ -209,32 +211,34 @@ def join_pushout(a: BasedComplex, b: BasedComplex) -> PushoutResult:
 
 
 def join(a: BasedComplex, b: BasedComplex) -> BasedComplex:
-    """Join, computed by its defining pushout and renamed to the canonical
-    three-part basis ``jl.x`` | ``j.x.y`` | ``jr.y``."""
-    result = join_pushout(a, b)
-    quotient = result.require_based()
-    assert result.leg_a is not None and result.leg_b is not None
-    table: dict[Name, Name] = {}
+    """Join in closed form on the three-part basis ``jl.x`` | ``j.x.y`` | ``jr.y``.
 
-    def claim(chain: Chain, new_name: Name) -> None:
-        items = chain.items()
-        if len(items) != 1 or items[0][1] != 1:
-            raise NonBasedPushoutError("join pushout leg is not a basis inclusion")
-        old = items[0][0]
-        if old in table:
-            raise NonBasedPushoutError("join pushout basis parts overlap")
-        table[old] = new_name
-
-    for _, x in a.all_generators():
-        claim(result.leg_b.of_gen(("l", x)), ("jl", x))
-    for _, y in b.all_generators():
-        claim(result.leg_b.of_gen(("r", y)), ("jr", y))
-    for _, x in a.all_generators():
-        for _, y in b.all_generators():
-            claim(result.leg_a.of_gen(("t", ("t", x, ("i",)), y)), ("j", x, y))
-    if len(table) != quotient.size:
-        raise NonBasedPushoutError("join pushout basis is not three-part")
-    return quotient.renamed(lambda g: table[g])
+    The outer parts are copies of ``a`` and ``b``.  The joined cell ``j.x.y``
+    has degree ``|x| + |y| + 1`` and ``d(j.x.y) = A + (-1)^(|x|+1) B``, where
+    ``A`` is ``j.(dx).y``, or ``eps(x) jr.y`` when ``x`` is a vertex, and ``B``
+    is ``j.x.(dy)``, or ``eps(y) jl.x`` when ``y`` is a vertex.
+    :func:`join_pushout` is its oracle: its survivors sort in the same order.
+    """
+    outer = coproduct([("jl", a), ("jr", b)])
+    degrees = {deg: list(gens) for deg, gens in outer.degrees.items()}
+    diff = dict(outer.diff)
+    for da, x in a.all_generators():
+        dx = a.diff[x].items() if da else []
+        sign = 1 if da % 2 else -1
+        for db, y in b.all_generators():
+            if da:
+                terms = {("j", xp, y): c for xp, c in dx}
+            else:
+                terms = {("jr", y): a.aug[x]}
+            if db:
+                for yp, c in b.diff[y].items():
+                    terms[("j", x, yp)] = sign * c
+            else:
+                terms[("jl", x)] = sign * b.aug[y]
+            name = ("j", x, y)
+            degrees.setdefault(da + db + 1, []).append(name)
+            diff[name] = Chain(da + db, terms)
+    return BasedComplex(degrees, diff, outer.aug)
 
 
 def antijoin(a: BasedComplex, b: BasedComplex) -> BasedComplex:

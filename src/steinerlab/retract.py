@@ -26,6 +26,7 @@ from .core import (
     identity_map,
     invert_basis_bijection,
     report,
+    sole_generator,
     validate_map,
 )
 from .names import Name
@@ -40,7 +41,7 @@ from .ops import (
     suspension_map,
     swap_iso_op,
 )
-from .shapes import ThetaSpec, cube, oriental, wedge_with_legs
+from .shapes import ThetaSpec, _cube_word, _right_cone_name, cube, oriental, wedge_with_legs
 
 
 class UnsupportedSpecError(SteinerlabError):
@@ -84,7 +85,7 @@ def split_last_letter(n: int) -> ComplexMap:
     return basis_renaming_map(
         cube(n),
         gray_tensor(cube(n - 1), interval()),
-        lambda g: ("t", _cube_word_name(_word(g)[:-1]), (_word(g)[-1],)),
+        lambda g: ("t", _cube_word_name(_cube_word(g)[:-1]), (_cube_word(g)[-1],)),
     )
 
 
@@ -93,7 +94,7 @@ def split_first_letter(n: int) -> ComplexMap:
     return basis_renaming_map(
         cube(n),
         gray_tensor(interval(), cube(n - 1)),
-        lambda g: ("t", (_word(g)[0],), _cube_word_name(_word(g)[1:])),
+        lambda g: ("t", (_cube_word(g)[0],), _cube_word_name(_cube_word(g)[1:])),
     )
 
 
@@ -104,22 +105,12 @@ def merge_pair_words(n: int, first: bool) -> ComplexMap:
     )
 
 
-def _word(g: Name) -> str:
-    return "" if g == ("u",) else g[0]
-
-
 def right_cone_renaming(n: int) -> ComplexMap:
     """Rename ``join(oriental(n-1), unit)`` as ``oriental(n)``: the new
     vertex becomes ``n``."""
-
-    def rename(g: Name) -> Name:
-        if g[0] == "jl":
-            return g[1]
-        if g[0] == "jr":
-            return (str(n),)
-        return g[1] + (str(n),)
-
-    return basis_renaming_map(join(oriental(n - 1), unit()), oriental(n), rename)
+    return basis_renaming_map(
+        join(oriental(n - 1), unit()), oriental(n), lambda g: _right_cone_name(g, n)
+    )
 
 
 def left_cone_renaming(n: int) -> ComplexMap:
@@ -245,7 +236,7 @@ def q_cube(n: int) -> ComplexMap:
     target = suspension(cube(n))
     assignment: dict[Name, Chain] = {}
     for deg, g in source.all_generators():
-        w = _word(g)
+        w = _cube_word(g)
         body, last = w[:-1], w[-1]
         if last == "i":
             assignment[g] = chain_of(deg, ("s", _cube_word_name(body)))
@@ -375,15 +366,12 @@ def _double_cone_renaming(n: int) -> ComplexMap:
     """Rename ``join(unit, join(unit, oriental(n-2)))`` as ``oriental(n)``."""
     inner = left_cone_renaming(n - 1)
 
-    def inner_name(z: Name) -> Name:
-        return inner.of_gen(z).items()[0][0]
-
     def rename(g: Name) -> Name:
         if g[0] == "jl":
             return ("0",)
         if g[0] == "jr":
-            return _shift_subset(inner_name(g[1]), 1)
-        return ("0",) + _shift_subset(inner_name(g[2]), 1)
+            return _shift_subset(sole_generator(inner.of_gen(g[1])), 1)
+        return ("0",) + _shift_subset(sole_generator(inner.of_gen(g[2])), 1)
 
     return basis_renaming_map(
         join(unit(), join(unit(), oriental(n - 2))), oriental(n), rename
@@ -554,11 +542,6 @@ def _build_retract(tree):
     w, lam1, lam2 = wedge_with_legs(obj1, r1, obj2, l2)
     wd, mu1, mu2 = _oriental_wedge(n1, n2)
 
-    def one_gen(chain: Chain) -> Name:
-        items = chain.items()
-        assert len(items) == 1 and items[0][1] == 1
-        return items[0][0]
-
     embed_assignment: dict[Name, Chain] = {}
     for deg, g in w.all_generators():
         if g == ("w0",):
@@ -581,8 +564,8 @@ def _build_retract(tree):
 
     new_embed = compose(wedge_embed, zeta(n1, n2))
     new_retract = compose(theta_left_inverse(n1, n2), wedge_retract)
-    left = one_gen(lam1(chain_of(0, l1)))
-    right = one_gen(lam2(chain_of(0, r2)))
+    left = sole_generator(lam1(chain_of(0, l1)))
+    right = sole_generator(lam2(chain_of(0, r2)))
     return w, left, right, new_embed, new_retract
 
 

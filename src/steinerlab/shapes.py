@@ -36,6 +36,7 @@ from .core import (
     identity_map,
     invert_basis_bijection,
     report,
+    sole_generator,
     validate_complex,
     validate_map,
 )
@@ -205,25 +206,26 @@ def oriental(n: int) -> BasedComplex:
 def oriental_via_join(n: int) -> BasedComplex:
     """The n-fold join of the point, renamed step by step to vertex subsets.
 
-    Differentials come entirely out of the join pushouts, which makes this
-    an independent oracle for :func:`oriental`.
+    Differentials come entirely out of the join formula of :func:`join`,
+    not from face sums, which makes this an independent oracle for
+    :func:`oriental`.
     """
     if n < 0:
         raise BadDimsError(f"oriental dimension must be >= 0, got {n}")
     current = BasedComplex({0: [("0",)]}, {}, {("0",): 1})
     for k in range(1, n + 1):
-        joined = join(current, unit())
-        new_vertex = str(k)
-
-        def rename(g: Name, v: str = new_vertex) -> Name:
-            if g[0] == "jl":
-                return g[1]
-            if g[0] == "jr":
-                return (v,)
-            return g[1] + (v,)
-
-        current = joined.renamed(rename)
+        current = join(current, unit()).renamed(lambda g: _right_cone_name(g, k))
     return current
+
+
+def _right_cone_name(g: Name, k: int) -> Name:
+    """Name a generator of ``join(oriental(k-1), unit)`` as a vertex subset of
+    ``oriental(k)``: the cone vertex becomes ``k``."""
+    if g[0] == "jl":
+        return g[1]
+    if g[0] == "jr":
+        return (str(k),)
+    return g[1] + (str(k),)
 
 
 @lru_cache(maxsize=None)
@@ -297,10 +299,7 @@ def wedge_with_legs(
     result = pushout(f, g)
     quotient = result.require_based()
     assert result.leg_a is not None and result.leg_b is not None
-    table: dict[Name, Name] = {}
-    base = result.leg_a.of_gen(marked_a).items()
-    assert len(base) == 1 and base[0][1] == 1
-    table[base[0][0]] = ("w0",)
+    table: dict[Name, Name] = {sole_generator(result.leg_a.of_gen(marked_a)): ("w0",)}
     for _, x in a.all_generators():
         if x != marked_a:
             table[("l", x)] = ("wl", x)
@@ -424,7 +423,7 @@ def _induced_iso_items(
     items = [CheckItem(f"{prefix}:INDUCED_ISO", iso_ok, None)]
     if iso_ok:
         renamed = result.require_based().renamed(
-            lambda g: induced.of_gen(g).items()[0][0]
+            lambda g: sole_generator(induced.of_gen(g))
         )
         items.append(
             CheckItem(

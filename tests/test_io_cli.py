@@ -117,6 +117,19 @@ def test_parse_rejects_repeated_entries(section):
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["1_0", " 1", "1\n", "\u0661", "1e3", "+-1", "1" * 5000 + "_0", float("inf")],
+)
+def test_parse_rejects_non_decimal_integers(value):
+    from steinerlab import interval
+
+    doc = json.loads(emit(interval()))
+    doc["augmentation"][0]["value"] = value
+    with pytest.raises(ParseError, match="bad integer"):
+        parse(json.dumps(doc))
+
+
 def test_big_coefficients_survive():
     from steinerlab import BasedComplex, Chain
 
@@ -127,6 +140,51 @@ def test_big_coefficients_survive():
         {("x",): 1, ("y",): 1},
     )
     assert parse(emit(c)) == c
+    # above the interpreter's 4300-digit int/str conversion limit
+    huge = BasedComplex({0: [("u",)]}, {}, {("u",): 10**5000})
+    text = emit(huge)
+    assert '"value": "1' + "0" * 5000 + '"' in text
+    assert parse(text) == huge
+    assert emit(parse(text)) == text
+
+
+def test_cli_op_on_huge_coefficient(tmp_path, capsys):
+    aug = "1" + "0" * 5000
+    point = tmp_path / "point.json"
+    point.write_text(
+        json.dumps(
+            {
+                "format_version": "steinerlab/1",
+                "kind": "complex",
+                "degrees": [{"degree": 0, "generators": ["u"]}],
+                "differential": [],
+                "augmentation": [{"generator": "u", "value": aug}],
+            }
+        )
+    )
+    expected = {
+        "format_version": "steinerlab/1",
+        "kind": "complex",
+        "degrees": [
+            {"degree": 0, "generators": ["b0", "b1"]},
+            {"degree": 1, "generators": ["s.(u)"]},
+        ],
+        "differential": [
+            {
+                "generator": "s.(u)",
+                "terms": [
+                    {"generator": "b0", "coeff": "-" + aug},
+                    {"generator": "b1", "coeff": aug},
+                ],
+            }
+        ],
+        "augmentation": [
+            {"generator": "b0", "value": "1"},
+            {"generator": "b1", "value": "1"},
+        ],
+    }
+    assert main(["op", "susp", str(point)]) == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -206,6 +264,16 @@ def test_cli_usage_errors(tmp_path, capsys):
     not_utf8.write_bytes(b'{"kind": "complex", "note": "\xff"}')
     assert main(["info", str(not_utf8)]) == 2
     assert "error [IO_ERROR]" in capsys.readouterr().err
+    huge_degree = tmp_path / "huge_degree.json"
+    huge_degree.write_text('{"kind": "complex", "degrees": [{"degree": 1' + "0" * 5000 + "}]}")
+    assert main(["info", str(huge_degree)]) == 2
+    assert "error [PARSE_ERROR]" in capsys.readouterr().err
+    huge_degree.write_text(
+        json.dumps({"format_version": "steinerlab/1", "kind": "complex",
+                    "degrees": [{"degree": "1" + "0" * 5000, "generators": []}]})
+    )
+    assert main(["info", str(huge_degree)]) == 2
+    assert "error [PARSE_ERROR]" in capsys.readouterr().err
 
 
 def test_cli_theta_glue_and_sides(capsys):

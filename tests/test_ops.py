@@ -1,4 +1,7 @@
+import random
+
 from steinerlab import (
+    BasedComplex,
     Chain,
     ComplexMap,
     antijoin,
@@ -14,6 +17,7 @@ from steinerlab import (
     dual_coop,
     dual_op,
     ell_map,
+    emit,
     equal_presentation,
     graded_counts,
     gray_tensor,
@@ -22,9 +26,11 @@ from steinerlab import (
     interval,
     invert_basis_bijection,
     join,
+    join_pushout,
     left_p_map,
     oriental,
     p_map,
+    parse,
     q_susp_map,
     shape_library,
     susp_coop_iso,
@@ -39,6 +45,7 @@ from steinerlab import (
     verify_mutually_inverse,
     zero,
 )
+from steinerlab.acceptance import fixture_non_unital, random_steiner_complex
 from steinerlab.retract import q2
 
 
@@ -281,6 +288,28 @@ def test_join_is_three_part_on_library_pairs():
             right = basis_renaming_map(b, j, lambda g: ("jr", g))
             assert validate_map(left).passed
             assert validate_map(right).passed
+
+
+def test_join_matches_pushout_oracle():
+    # vertices of augmentation 2 and 0, besides the unital shapes
+    weighted = BasedComplex(
+        {0: [("x",), ("y",), ("z",)], 1: [("e",)]},
+        {("e",): Chain(0, {("y",): 1, ("x",): -1})},
+        {("x",): 2, ("y",): 2, ("z",): 0},
+    )
+    rng = random.Random(3)
+    inputs = list(shape_library().values()) + [zero(), fixture_non_unital(), weighted]
+    inputs += [random_steiner_complex(rng, budget=10) for _ in range(6)]
+    checked = 0
+    for a in inputs:
+        for b in inputs:
+            if a.size * b.size > 21:
+                continue
+            j = join(a, b)
+            assert equal_presentation(j, join_pushout(a, b).require_based())
+            assert parse(emit(j)) == j
+            checked += 1
+    assert checked > 200
 
 
 def test_antijoin_examples():
