@@ -2,11 +2,13 @@
 
 Pushouts and coequalizers are computed degreewise as cokernels of integer
 relation matrices.  Elimination uses unit pivots chosen deterministically
-(smallest absolute coefficient, then generator name order); whenever the
-quotient is degreewise free and spanned by surviving original generators,
-a genuine :class:`~steinerlab.core.BasedComplex` is returned together with
-its legs.  Otherwise the result carries a torsion witness (an elementary
-divisor greater than one) or a non-based diagnostic instead of a complex.
+(smallest absolute coefficient, then basis position, i.e. name order);
+whenever the quotient is degreewise free and spanned by surviving original
+generators, a genuine :class:`~steinerlab.core.BasedComplex` is returned
+together with its legs.  Otherwise the result carries a torsion witness (an
+elementary divisor greater than one) or a non-based diagnostic instead of a
+complex.  Eliminated generators resolve to survivors in one loop, without
+recursion, however long the chain of identifications.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from .core import (
     Chain,
     ComplexMap,
     CompositionError,
+    MalformedError,
     SteinerlabError,
+    add_scaled,
     chain_of,
     direct_sum,
 )
-from .names import Name, name_key
+from .names import Name, render_name
 
 
 class NonBasedPushoutError(SteinerlabError):
@@ -55,112 +59,88 @@ class PushoutResult:
 
 
 class _Eliminator:
-    """Quotient of one graded piece by integer relations, via unit pivots."""
+    """Quotient of one graded piece by integer relations, via unit pivots.
 
-    def __init__(self, relations: list[dict[Name, int]]):
-        self.rows = [dict(row) for row in relations if row]
-        self.expr: dict[Name, dict[Name, int]] = {}
-        self.residual: list[dict[Name, int]] = []
-        self._resolved: dict[Name, dict[Name, int]] = {}
+    Rows map basis positions (indices into the ambient degree) to non-zero
+    coefficients.  The pivot is the entry of smallest absolute value, then
+    position, then row.  A unit pivot eliminates its generator from every
+    other row, parked ones included, so rows never hold eliminated
+    generators.  A non-unit pivot reduces the other rows by floor division,
+    or is parked in ``residual`` if it reduces none; a pass that changed a
+    parked row runs again on the parked rows.
+    """
+
+    def __init__(self, relations: list[dict[int, int]]):
+        self.rows = relations
+        self.expr: dict[int, dict[int, int]] = {}
+        self.residual: list[dict[int, int]] = []
 
     def run(self) -> Optional[tuple[int, str]]:
         """Eliminate; return (divisor, kind) on failure, None on success."""
-        while True:
-            self._main_pass()
-            if not self.residual:
-                return None
-            projected = [self._project_row(row) for row in self.residual]
-            projected = [row for row in projected if row]
-            if projected == self.residual:
-                break
-            self.rows.extend(projected)
+        while self._main_pass():
+            self.rows = [row for row in self.residual if row]
             self.residual = []
-            self._resolved.clear()
+        if not self.residual:
+            return None
         divisors = _diagonal_divisors(self.residual)
         bad = [d for d in divisors if d not in (0, 1)]
         if bad:
             return bad[0], "torsion"
         return 1, "non-based"
 
-    def _main_pass(self) -> None:
-        rows = self.rows
-        while True:
-            pivot = None  # (|coeff|, gen key, row idx) plus (gen, coeff)
-            for idx, row in enumerate(rows):
-                for gen, coeff in row.items():
-                    cand = (abs(coeff), name_key(gen), idx)
-                    if pivot is None or cand < pivot[:3]:
-                        pivot = cand + (gen, coeff)
-            if pivot is None:
-                return
-            _, _, idx, gen, coeff = pivot
-            prow = rows[idx]
+    def _main_pass(self) -> bool:
+        """Pivot until no row is left; return whether a parked row changed."""
+        rows, parked = self.rows, self.residual
+        parked_changed = False
+        while rows:
+            _, col, idx = min(
+                (abs(c), g, i) for i, row in enumerate(rows) for g, c in row.items()
+            )
+            prow = rows.pop(idx)
+            coeff = prow[col]
             if abs(coeff) == 1:
-                del rows[idx]
-                expr = {h: -coeff * c for h, c in prow.items() if h != gen}
-                self.expr[gen] = expr
-                for other in rows:
-                    c = other.pop(gen, 0)
+                expr = {h: -coeff * c for h, c in prow.items() if h != col}
+                self.expr[col] = expr
+                parked_changed = parked_changed or any(col in row for row in parked)
+                for other in rows + parked:
+                    c = other.pop(col, 0)
                     if c:
-                        for h, e in expr.items():
-                            other[h] = other.get(h, 0) + c * e
-                            if not other[h]:
-                                del other[h]
+                        add_scaled(other, expr, c)
                 rows[:] = [r for r in rows if r]
             else:
-                changed = False
-                for j, other in enumerate(rows):
-                    if j == idx:
-                        continue
-                    c = other.get(gen, 0)
-                    if c:
-                        q = c // coeff
-                        if q:
-                            changed = True
-                            for h, e in prow.items():
-                                other[h] = other.get(h, 0) - q * e
-                                if not other[h]:
-                                    del other[h]
-                rows[:] = [r for r in rows if r and r is not prow]
-                if not changed:
-                    self.residual.append(prow)
-                else:
-                    rows.append(prow)
+                reduced = False
+                for other in rows:
+                    q = other.get(col, 0) // coeff
+                    if q:
+                        reduced = True
+                        add_scaled(other, prow, -q)
+                rows[:] = [r for r in rows if r]
+                (rows if reduced else parked).append(prow)
+        return parked_changed
 
-    def resolve(self, gen: Name) -> dict[Name, int]:
-        """Express an ambient generator in the surviving basis."""
-        if gen not in self.expr:
-            return {gen: 1}
-        cached = self._resolved.get(gen)
-        if cached is not None:
-            return cached
-        out: dict[Name, int] = {}
-        for h, c in self.expr[gen].items():
-            for k, e in self.resolve(h).items():
-                out[k] = out.get(k, 0) + c * e
-                if not out[k]:
-                    del out[k]
-        self._resolved[gen] = out
-        return out
+    def resolved(self) -> dict[int, dict[int, int]]:
+        """Every eliminated position expressed in the surviving positions.
 
-    def _project_row(self, row: dict[Name, int]) -> dict[Name, int]:
-        out: dict[Name, int] = {}
-        for name, coeff in row.items():
-            for k, e in self.resolve(name).items():
-                out[k] = out.get(k, 0) + coeff * e
-                if not out[k]:
-                    del out[k]
+        A pivot row never holds a generator eliminated before it, so each
+        expression only needs those of generators eliminated later.
+        """
+        out: dict[int, dict[int, int]] = {}
+        for col in reversed(self.expr):
+            total: dict[int, int] = {}
+            for h, c in self.expr[col].items():
+                add_scaled(total, out.get(h, {h: 1}), c)
+            out[col] = total
         return out
 
 
-def _diagonal_divisors(rows: list[dict[Name, int]]) -> list[int]:
+def _diagonal_divisors(rows: list[dict[int, int]]) -> list[int]:
     """Diagonalize a small integer matrix by unimodular row/column operations.
 
     Any diagonal form reached this way presents the same quotient group, so
     the absolute diagonal entries detect torsion without needing the
     divisibility-ordered Smith chain.
     """
-    cols = sorted({g for row in rows for g in row}, key=name_key)
+    cols = sorted({g for row in rows for g in row})
     mat = [[row.get(g, 0) for g in cols] for row in rows]
     nrows, ncols = len(mat), len(cols)
     divisors: list[int] = []
@@ -209,11 +189,22 @@ def quotient_by_relations(
     Returns ``(complex, projection, torsion_witness, reason)``; the first two
     are ``None`` exactly when the quotient is not based.
     """
-    by_degree: dict[int, list[dict[Name, int]]] = {}
+    positions = {
+        deg: {g: i for i, g in enumerate(gens)} for deg, gens in ambient.degrees.items()
+    }
+    by_degree: dict[int, list[dict[int, int]]] = {}
     for rel in relations:
-        if not rel.is_zero():
-            by_degree.setdefault(rel.degree, []).append(dict(rel.items()))
-    eliminators: dict[int, _Eliminator] = {}
+        where = positions.get(rel.degree, {})
+        try:
+            row = {where[g]: c for g, c in rel.items()}
+        except KeyError as exc:
+            raise MalformedError(
+                f"relation term {render_name(exc.args[0])} is not a degree"
+                f" {rel.degree} generator of the ambient complex"
+            ) from None
+        if row:
+            by_degree.setdefault(rel.degree, []).append(row)
+    resolved: dict[int, dict[int, dict[int, int]]] = {}
     for degree in sorted(by_degree):
         elim = _Eliminator(by_degree[degree])
         failure = elim.run()
@@ -221,25 +212,24 @@ def quotient_by_relations(
             divisor, kind = failure
             witness = (degree, divisor) if kind == "torsion" else None
             return None, None, witness, f"degree {degree}: {kind} quotient"
-        eliminators[degree] = elim
-
-    eliminated = {g for e in eliminators.values() for g in e.expr}
+        resolved[degree] = elim.resolved()
 
     def project(chain: Chain) -> Chain:
-        elim = eliminators.get(chain.degree)
-        if elim is None:
+        images = resolved.get(chain.degree)
+        if images is None:
             return chain
-        out: dict[Name, int] = {}
+        where, gens = positions[chain.degree], ambient.degrees[chain.degree]
+        out: dict[int, int] = {}
         for name, coeff in chain.items():
-            for k, e in elim.resolve(name).items():
-                out[k] = out.get(k, 0) + coeff * e
-        return Chain(chain.degree, out)
+            p = where[name]
+            add_scaled(out, images.get(p, {p: 1}), coeff)
+        return Chain(chain.degree, {gens[p]: c for p, c in out.items()})
 
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
     aug: dict[Name, int] = {}
     for degree, g in ambient.all_generators():
-        if g in eliminated:
+        if positions[degree][g] in resolved.get(degree, ()):
             continue
         degrees.setdefault(degree, []).append(g)
         if degree:

@@ -12,12 +12,19 @@ Values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .names import Name, check_name, name_key, render_name
 
 DEFAULT_MAX_GENERATORS = 100_000
+
+# CPython refuses int<->str conversions above 4300 digits by default; longer
+# values go through base-10**4000 chunks, each well below that limit.
+_CHUNK_DIGITS = 4000
+_CHUNK = 10**_CHUNK_DIGITS
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 class SteinerlabError(Exception):
@@ -57,6 +64,48 @@ def max_generators() -> int:
         raise SizeLimitError(f"bad STEINERLAB_MAX_GENERATORS value {raw!r}") from exc
 
 
+def check_size(total: int) -> None:
+    """Refuse a complex of ``total`` generators over the limit, before it is built."""
+    if total > max_generators():
+        raise SizeLimitError(
+            f"complex with {total} generators exceeds STEINERLAB_MAX_GENERATORS"
+        )
+
+
+def _int_to_text(value: int) -> str:
+    """``str(value)`` for an integer of any size."""
+    if value.bit_length() <= 13_000:  # at most 3914 digits
+        return str(value)
+    sign, value = ("-", -value) if value < 0 else ("", value)
+    chunks: list[str] = []
+    while value:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    return sign + "".join(reversed(chunks)).lstrip("0")
+
+
+def _text_to_int(text: str) -> int:
+    """``int(text)`` for a decimal string (optional sign, ASCII digits) of any length."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError("not a decimal integer")
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    digits = text.lstrip("+-")
+    first = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    value = int(digits[:first])
+    for start in range(first, len(digits), _CHUNK_DIGITS):
+        value = value * _CHUNK + int(digits[start : start + _CHUNK_DIGITS])
+    return -value if text[0] == "-" else value
+
+
+def add_scaled(total: dict, terms: Mapping, scale: int) -> None:
+    """Add ``scale * terms`` into the sparse map ``total``, dropping zeros."""
+    for key, value in terms.items():
+        total[key] = total.get(key, 0) + scale * value
+        if not total[key]:
+            del total[key]
+
+
 class Chain:
     """Homogeneous integer chain: a degree and a sparse generator->coefficient map.
 
@@ -65,18 +114,15 @@ class Chain:
 
     __slots__ = ("degree", "_coeffs")
 
-    def __init__(self, degree: int, coeffs: Mapping[Name, int] | Iterable[tuple[Name, int]] = ()):
+    def __init__(self, degree: int, coeffs: dict[Name, int] | None = None):
         if degree < 0:
             raise MalformedError(f"chain degree must be >= 0, got {degree}")
         data: dict[Name, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for name, coeff in items:
+        for name, coeff in (coeffs or {}).items():
             if not isinstance(coeff, int):
                 raise MalformedError(f"non-integer coefficient {coeff!r} on {name!r}")
             if coeff:
-                data[name] = data.get(name, 0) + coeff
-                if not data[name]:
-                    del data[name]
+                data[name] = coeff
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_coeffs", data)
 
@@ -104,10 +150,7 @@ class Chain:
                 f"cannot add chains of degree {self.degree} and {other.degree}"
             )
         data = dict(self._coeffs)
-        for name, coeff in other._coeffs.items():
-            data[name] = data.get(name, 0) + coeff
-            if not data[name]:
-                del data[name]
+        add_scaled(data, other._coeffs, 1)
         return Chain(self.degree, data)
 
     def __sub__(self, other: "Chain") -> "Chain":
@@ -134,7 +177,7 @@ class Chain:
         if self.is_zero():
             return f"<0 (deg {self.degree})>"
         terms = " ".join(
-            f"{'+' if c > 0 else '-'}{abs(c) if abs(c) != 1 else ''}{render_name(n)}"
+            f"{'+' if c > 0 else '-'}{_int_to_text(abs(c)) if abs(c) != 1 else ''}{render_name(n)}"
             for n, c in self.items()
         )
         return f"<{terms} (deg {self.degree})>"
@@ -153,8 +196,7 @@ def _extend_linearly(chain: Chain, images: Mapping[Name, Chain], degree: int) ->
             raise DegreeMismatchError(
                 f"cannot add chains of degree {degree} and {image.degree}"
             )
-        for h, c in image._coeffs.items():
-            total[h] = total.get(h, 0) + coeff * c
+        add_scaled(total, image._coeffs, coeff)
     return Chain(degree, total)
 
 
@@ -227,10 +269,7 @@ class BasedComplex:
                 gen_degree[g] = degree
             deg_map[degree] = tuple(gens)
             total += len(gens)
-        if total > max_generators():
-            raise SizeLimitError(
-                f"complex with {total} generators exceeds STEINERLAB_MAX_GENERATORS"
-            )
+        check_size(total)
         diff_map: dict[Name, Chain] = {}
         for g, chain in diff.items():
             degree = gen_degree.get(g)

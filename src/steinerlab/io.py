@@ -10,16 +10,18 @@ embedding the failing report in the error.
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Union
 
 from .core import (
+    _CHUNK_DIGITS,
     BasedComplex,
     Chain,
     CheckReport,
     ComplexMap,
     MalformedError,
     SteinerlabError,
+    _int_to_text,
+    _text_to_int,
     validate_complex,
     validate_map,
 )
@@ -38,39 +40,6 @@ class ValidationError(SteinerlabError):
     def __init__(self, message: str, report: CheckReport):
         super().__init__(message)
         self.report = report
-
-
-# CPython refuses int<->str conversions above 4300 digits by default; longer
-# values go through base-10**4000 chunks, each well below that limit.
-_CHUNK_DIGITS = 4000
-_CHUNK = 10**_CHUNK_DIGITS
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
-
-
-def _int_to_text(value: int) -> str:
-    """``str(value)`` for an integer of any size."""
-    if value.bit_length() <= 13_000:  # at most 3914 digits
-        return str(value)
-    sign, value = ("-", -value) if value < 0 else ("", value)
-    chunks: list[str] = []
-    while value:
-        value, low = divmod(value, _CHUNK)
-        chunks.append(str(low).zfill(_CHUNK_DIGITS))
-    return sign + "".join(reversed(chunks)).lstrip("0")
-
-
-def _text_to_int(text: str) -> int:
-    """``int(text)`` for a decimal string (optional sign, ASCII digits) of any length."""
-    if not _DECIMAL.fullmatch(text):
-        raise ValueError("not a decimal integer")
-    if len(text) <= _CHUNK_DIGITS:
-        return int(text)
-    digits = text.lstrip("+-")
-    first = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
-    value = int(digits[:first])
-    for start in range(first, len(digits), _CHUNK_DIGITS):
-        value = value * _CHUNK + int(digits[start : start + _CHUNK_DIGITS])
-    return -value if text[0] == "-" else value
 
 
 def _chain_terms(chain: Chain) -> list[dict[str, str]]:

@@ -28,6 +28,7 @@ from .core import (
     ComplexMap,
     basis_renaming_map,
     chain_of,
+    check_size,
     compose,
     coproduct,
     direct_sum,
@@ -39,6 +40,7 @@ from .names import Name
 
 def gray_tensor(a: BasedComplex, b: BasedComplex) -> BasedComplex:
     """Tensor product with Koszul-signed differential and pair-named basis."""
+    check_size(a.size * b.size)
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
     aug: dict[Name, int] = {}
@@ -219,6 +221,7 @@ def join(a: BasedComplex, b: BasedComplex) -> BasedComplex:
     is ``j.x.(dy)``, or ``eps(y) jl.x`` when ``y`` is a vertex.
     :func:`join_pushout` is its oracle: its survivors sort in the same order.
     """
+    check_size(a.size + b.size + a.size * b.size)
     outer = coproduct([("jl", a), ("jr", b)])
     degrees = {deg: list(gens) for deg, gens in outer.degrees.items()}
     diff = dict(outer.diff)

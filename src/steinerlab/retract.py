@@ -31,6 +31,7 @@ from .core import (
 )
 from .names import Name
 from .ops import (
+    cube_selfduality,
     dual_op,
     dual_op_map,
     gray_tensor,
@@ -98,13 +99,6 @@ def split_first_letter(n: int) -> ComplexMap:
     )
 
 
-def merge_pair_words(n: int, first: bool) -> ComplexMap:
-    """Inverse renamings of the splits above (``first`` selects the side)."""
-    return invert_basis_bijection(
-        split_first_letter(n) if first else split_last_letter(n)
-    )
-
-
 def right_cone_renaming(n: int) -> ComplexMap:
     """Rename ``join(oriental(n-1), unit)`` as ``oriental(n)``: the new
     vertex becomes ``n``."""
@@ -134,12 +128,6 @@ def oriental_reversal(n: int) -> ComplexMap:
         dual_op(oriental(n)),
         lambda g: tuple(str(n - int(v)) for v in reversed(g)),
     )
-
-
-def interval_swap() -> ComplexMap:
-    """Self-duality of the interval: the vertex swap onto the op dual."""
-    table = {("0",): ("1",), ("1",): ("0",), ("i",): ("i",)}
-    return basis_renaming_map(interval(), dual_op(interval()), lambda g: table[g])
 
 
 # -- the square: quotient and section -----------------------------------------
@@ -261,7 +249,7 @@ def section_q_cube(n: int) -> RetractionPair:
         split = suspension_map(split_first_letter(n))
         phi = phi_map(cube(n - 1))
         lift = gray_tensor_map(identity_map(interval()), section_q_cube(n - 1).embed)
-        merge = merge_pair_words(n + 1, first=True)
+        merge = invert_basis_bijection(split_first_letter(n + 1))
         embed = compose(compose(compose(split, phi), lift), merge)
     return RetractionPair(embed, q_cube(n))
 
@@ -354,7 +342,7 @@ def section_p_oriental(n: int) -> ComplexMap:
     swap = invert_basis_bijection(swap_iso_op(oriental(n), interval()))
     unswap = gray_tensor_map(
         invert_basis_bijection(oriental_reversal(n)),
-        invert_basis_bijection(interval_swap()),
+        invert_basis_bijection(cube_selfduality(1, "op")),
     )
     return compose(
         compose(compose(oriental_reversal(n + 1), dual_op_map(s_renamed)), swap),
@@ -385,7 +373,7 @@ def section_xi(n: int) -> RetractionPair:
         embed = basis_renaming_map(oriental(0), cube(0), lambda g: ("u",))
     else:
         lift = gray_tensor_map(section_xi(n - 1).embed, identity_map(interval()))
-        merge = merge_pair_words(n, first=False)
+        merge = invert_basis_bijection(split_last_letter(n))
         embed = compose(compose(section_p_oriental(n - 1), lift), merge)
     return RetractionPair(embed, xi(n))
 

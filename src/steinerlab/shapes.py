@@ -30,6 +30,7 @@ from .core import (
     SteinerlabError,
     basis_renaming_map,
     chain_of,
+    check_size,
     compose,
     coproduct,
     equal_presentation,
@@ -143,6 +144,7 @@ def cube(n: int) -> BasedComplex:
     """
     if n < 0:
         raise BadDimsError(f"cube dimension must be >= 0, got {n}")
+    check_size(3**n)
     if n == 0:
         return unit()
     degrees: dict[int, list[Name]] = {}
@@ -179,6 +181,7 @@ def oriental(n: int) -> BasedComplex:
     """The n-oriental: subsets of {0..n} as basis, alternating face sums."""
     if n < 0:
         raise BadDimsError(f"oriental dimension must be >= 0, got {n}")
+    check_size(2 ** (n + 1) - 1)
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
     aug: dict[Name, int] = {}

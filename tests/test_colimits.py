@@ -5,6 +5,7 @@ from steinerlab import (
     Chain,
     ComplexMap,
     CompositionError,
+    MalformedError,
     coequalizer,
     compose,
     disk,
@@ -15,7 +16,7 @@ from steinerlab import (
     unit,
     validate_complex,
 )
-from steinerlab.colimits import induced_from_coequalizer
+from steinerlab.colimits import induced_from_coequalizer, quotient_by_relations
 
 
 def test_pushout_wedge_of_intervals():
@@ -107,3 +108,32 @@ def test_induced_map_from_coequalizer():
     w = identity_map(disk(1))
     induced = induced_from_coequalizer(result, w)
     assert compose(result.leg_a, induced) == w
+
+
+def test_coequalizer_of_a_long_path_collapses_without_recursion():
+    # i -> v_i against i -> v_(i+1) identifies 1201 vertices in one chain
+    length = 1200
+    vertex = [(f"v{i:04d}",) for i in range(length + 1)]
+    edges = [(f"e{i:04d}",) for i in range(length)]
+    point = [(str(i),) for i in range(length)]
+    points = BasedComplex({0: point}, {}, {p: 1 for p in point})
+    path = BasedComplex(
+        {0: vertex, 1: edges},
+        {e: Chain(0, {vertex[i + 1]: 1, vertex[i]: -1}) for i, e in enumerate(edges)},
+        {v: 1 for v in vertex},
+    )
+    f = ComplexMap(points, path, {p: Chain(0, {vertex[i]: 1}) for i, p in enumerate(point)})
+    g = ComplexMap(points, path, {p: Chain(0, {vertex[i + 1]: 1}) for i, p in enumerate(point)})
+    result = coequalizer(f, g)
+    c = result.require_based()
+    assert graded_counts(c) == {0: 1, 1: length}
+    assert validate_complex(c).passed
+    survivor = c.generators(0)[0]
+    assert all(result.leg_a.of_gen(v) == Chain(0, {survivor: 1}) for v in vertex)
+
+
+def test_quotient_rejects_relations_off_the_ambient_basis():
+    a = _free_degree_one(["x", "y"])
+    for rel in (Chain(1, {("z",): 1}), Chain(0, {("x",): 1})):
+        with pytest.raises(MalformedError):
+            quotient_by_relations(a, [Chain(1, {("x",): 1}), rel])

@@ -36,6 +36,12 @@ def test_chain_arithmetic_is_exact_and_sparse():
     assert a - a == Chain(1)
 
 
+def test_chain_repr_renders_huge_coefficients():
+    big = 10**5000
+    assert repr(Chain(0, {("a",): big})) == "<+1" + "0" * 5000 + "a (deg 0)>"
+    assert repr(Chain(0, {("a",): -big - 1})) == "<-1" + "0" * 4999 + "1a (deg 0)>"
+
+
 def test_chain_degree_mismatch():
     with pytest.raises(Exception):
         Chain(0, {("x",): 1}) + Chain(1, {("x",): 1})

@@ -276,6 +276,13 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert "error [PARSE_ERROR]" in capsys.readouterr().err
 
 
+def test_cli_refuses_oversized_results_before_building(capsys):
+    # 3**40 cube words and 6561**2 tensor pairs: refused from their counts
+    for argv in (["gen", "cube", "40"], ["op", "tensor", "cube:8", "cube:8"]):
+        assert main(argv) == 2
+        assert "error [SIZE_LIMIT]" in capsys.readouterr().err
+
+
 def test_cli_theta_glue_and_sides(capsys):
     from steinerlab import graded_counts
 

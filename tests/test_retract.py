@@ -11,15 +11,18 @@ from steinerlab import (
     compose,
     cube,
     e_s_kappa,
+    ell_map,
     gray_tensor,
     h_map,
     identity_map,
     interval,
+    invert_basis_bijection,
     join,
     left_p_map,
     oriental,
     phi_map,
     q2,
+    q_susp_map,
     rho_map,
     s2,
     section_ell,
@@ -33,7 +36,7 @@ from steinerlab import (
     xi,
     zeta,
 )
-from steinerlab.retract import ell_oriental, q_cube
+from steinerlab.retract import ell_oriental, q_cube, right_cone_renaming, split_last_letter
 
 
 def test_q2_s2_are_the_worked_maps():
@@ -108,6 +111,14 @@ def test_q_cube_and_sections():
         pair = section_q_cube(n)
         assert pair.retract == q_cube(n)
         assert pair.verify().passed
+
+
+def test_cube_and_oriental_quotients_match_their_suspension_oracles():
+    for n in range(4):
+        assert q_cube(n) == compose(split_last_letter(n + 1), q_susp_map(cube(n)))
+        assert ell_oriental(n) == compose(
+            invert_basis_bijection(right_cone_renaming(n + 1)), ell_map(oriental(n))
+        )
 
 
 def test_xi_and_sections():
