@@ -282,12 +282,13 @@ class BasedComplex:
                     f"differential of {render_name(g)} has degree {chain.degree},"
                     f" expected {degree - 1}"
                 )
-            for h in chain.support():
-                if gen_degree.get(h) != degree - 1:
-                    raise MalformedError(
-                        f"differential of {render_name(g)} references {render_name(h)}"
-                        " at the wrong degree or not at all"
-                    )
+            stray = [h for h in chain._coeffs if gen_degree.get(h) != degree - 1]
+            if stray:
+                raise MalformedError(
+                    f"differential of {render_name(g)} references"
+                    f" {render_name(min(stray, key=name_key))}"
+                    " at the wrong degree or not at all"
+                )
             diff_map[g] = chain
         for degree, gens in deg_map.items():
             if degree >= 1:
@@ -348,7 +349,7 @@ class BasedComplex:
     def eps(self, chain: Chain) -> int:
         if chain.degree != 0:
             raise DegreeMismatchError("augmentation applies to degree-0 chains")
-        return sum(coeff * self.aug[name] for name, coeff in chain.items())
+        return sum(coeff * self.aug[name] for name, coeff in chain._coeffs.items())
 
     def renamed(self, rename: Callable[[Name], Name]) -> "BasedComplex":
         """Apply a bijective renaming to every generator."""
@@ -361,7 +362,7 @@ class BasedComplex:
             deg: [table[g] for g in gens] for deg, gens in self.degrees.items()
         }
         diff = {
-            table[g]: Chain(ch.degree, {table[h]: c for h, c in ch.items()})
+            table[g]: Chain(ch.degree, {table[h]: c for h, c in ch._coeffs.items()})
             for g, ch in self.diff.items()
         }
         aug = {table[g]: v for g, v in self.aug.items()}
@@ -404,12 +405,12 @@ class ComplexMap:
                     f"assignment of {render_name(g)} has degree {chain.degree},"
                     f" expected {degree}"
                 )
-            for h in chain.support():
-                if not target.has_generator(h) or target.degree_of(h) != degree:
-                    raise MalformedError(
-                        f"assignment of {render_name(g)} references bad target"
-                        f" generator {render_name(h)}"
-                    )
+            stray = [h for h in chain._coeffs if target._gen_degree.get(h) != degree]
+            if stray:
+                raise MalformedError(
+                    f"assignment of {render_name(g)} references bad target"
+                    f" generator {render_name(min(stray, key=name_key))}"
+                )
             asg[g] = chain
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -527,7 +528,7 @@ def coproduct(parts: Iterable[tuple[Name, BasedComplex]]) -> BasedComplex:
                 aug[name] = part.aug[g]
             else:
                 diff[name] = Chain(
-                    deg - 1, {(tag, h): c for h, c in part.diff[g].items()}
+                    deg - 1, {(tag, h): c for h, c in part.diff[g]._coeffs.items()}
                 )
     return BasedComplex(degrees, diff, aug)
 
@@ -550,7 +551,8 @@ def equal_presentation(a: BasedComplex, b: BasedComplex) -> bool:
         for ga, gb in zip(gens, b.degrees[deg]):
             table[ga] = gb
     for g, ch in a.diff.items():
-        if Chain(ch.degree, {table[h]: c for h, c in ch.items()}) != b.diff[table[g]]:
+        renamed = Chain(ch.degree, {table[h]: c for h, c in ch._coeffs.items()})
+        if renamed != b.diff[table[g]]:
             return False
     return all(b.aug[table[g]] == v for g, v in a.aug.items())
 

@@ -1,15 +1,21 @@
 """Deterministic text serialization for complexes and maps.
 
-Documents are JSON with a fixed schema version and canonical ordering, so
-``emit`` is byte-stable and ``parse(emit(x)) == x``.  Coefficients are
-decimal strings: the integers are unbounded by contract and must survive
-any consumer.  ``parse`` validates structurally and then semantically,
-embedding the failing report in the error.
+A ``steinerlab/1`` document is JSON with a fixed schema version and
+canonical ordering, laid out byte for byte as
+``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`` would write it, so
+``emit`` is byte-stable and ``parse(emit(x)) == x``.  ``emit`` writes that
+layout directly.  Coefficients and augmentation values are decimal strings:
+the integers are unbounded by contract and must survive any consumer.
+``parse`` accepts an integer as a JSON integer or a decimal string (never a
+float or a boolean), parses each distinct generator name once, validates
+structurally and then semantically, and embeds the failing report in the
+error.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from typing import Any, Union
 
 from .core import (
@@ -48,111 +54,195 @@ def _chain_terms(chain: Chain) -> list[dict[str, str]]:
     ]
 
 
-def complex_to_document(c: BasedComplex) -> dict[str, Any]:
+# -- emit ------------------------------------------------------------------
+# Each writer below returns a JSON value in the ``indent=2`` layout; ``pad``
+# is the indentation of the line the value starts on.
+
+
+def _basis_table(c: BasedComplex) -> dict[Name, tuple[int, str]]:
+    """Each generator's position in its degree's basis, and its name as JSON text.
+
+    Bases are sorted by ``name_key``, so position order is name order.
+    """
     return {
-        "format_version": FORMAT_VERSION,
-        "kind": "complex",
-        "degrees": [
-            {"degree": deg, "generators": [render_name(g) for g in c.degrees[deg]]}
-            for deg in sorted(c.degrees)
-        ],
-        "differential": [
-            {"generator": render_name(g), "terms": _chain_terms(c.diff[g])}
-            for deg in sorted(c.degrees)
-            if deg >= 1
-            for g in c.degrees[deg]
-        ],
-        "augmentation": [
-            {"generator": render_name(g), "value": _int_to_text(c.aug[g])}
-            for g in c.generators(0)
-        ],
+        g: (i, encode_basestring(render_name(g)))
+        for gens in c.degrees.values()
+        for i, g in enumerate(gens)
     }
 
 
-def map_to_document(f: ComplexMap) -> dict[str, Any]:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "map",
-        "source": complex_to_document(f.source),
-        "target": complex_to_document(f.target),
-        "assignment": [
-            {"generator": render_name(g), "terms": _chain_terms(f.of_gen(g))}
-            for deg, g in f.source.all_generators()
+def _array(items: list[str], pad: str) -> str:
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _entry(name: str, key: str, value: str, pad: str) -> str:
+    """The object ``{"generator": name, key: value}``."""
+    return f'{{\n{pad}  "generator": {name},\n{pad}  "{key}": {value}\n{pad}}}'
+
+
+def _terms_text(chain: Chain, table: dict[Name, tuple[int, str]], pad: str) -> str:
+    """``chain`` as a ``terms`` array, in basis order; ``table`` is its complex's."""
+    p2 = pad + "  "
+    return _array(
+        [
+            _entry(name, "coeff", f'"{_int_to_text(coeff)}"', p2)
+            for _, name, coeff in sorted(
+                table[g] + (coeff,) for g, coeff in chain._coeffs.items()
+            )
         ],
-    }
+        pad,
+    )
 
 
-def _need(doc: dict, key: str, where: str):
+def _complex_text(c: BasedComplex, table: dict[Name, tuple[int, str]], pad: str) -> str:
+    p2, p4, p6 = pad + "  ", pad + "    ", pad + "      "
+    degrees = sorted(c.degrees)
+    degree_entries = [
+        f'{{\n{p6}"degree": {deg},\n'
+        f'{p6}"generators": {_array([table[g][1] for g in c.degrees[deg]], p6)}\n{p4}}}'
+        for deg in degrees
+    ]
+    diff_entries = [
+        _entry(table[g][1], "terms", _terms_text(c.diff[g], table, p6), p4)
+        for deg in degrees
+        if deg >= 1
+        for g in c.degrees[deg]
+    ]
+    aug_entries = [
+        _entry(table[g][1], "value", f'"{_int_to_text(c.aug[g])}"', p4)
+        for g in c.generators(0)
+    ]
+    return (
+        f'{{\n{p2}"format_version": "{FORMAT_VERSION}",\n{p2}"kind": "complex",\n'
+        f"{p2}\"degrees\": {_array(degree_entries, p2)},\n"
+        f"{p2}\"differential\": {_array(diff_entries, p2)},\n"
+        f"{p2}\"augmentation\": {_array(aug_entries, p2)}\n{pad}}}"
+    )
+
+
+def _map_text(f: ComplexMap) -> str:
+    source, target = _basis_table(f.source), _basis_table(f.target)
+    entries = [
+        _entry(source[g][1], "terms", _terms_text(f.of_gen(g), target, "      "), "    ")
+        for _, g in f.source.all_generators()
+    ]
+    return (
+        f'{{\n  "format_version": "{FORMAT_VERSION}",\n  "kind": "map",\n'
+        f'  "source": {_complex_text(f.source, source, "  ")},\n'
+        f'  "target": {_complex_text(f.target, target, "  ")},\n'
+        f'  "assignment": {_array(entries, "  ")}\n}}'
+    )
+
+
+def emit(value: Union[BasedComplex, ComplexMap]) -> str:
+    """Serialize deterministically; identical values give identical bytes."""
+    if isinstance(value, BasedComplex):
+        return _complex_text(value, _basis_table(value), "") + "\n"
+    if isinstance(value, ComplexMap):
+        return _map_text(value) + "\n"
+    raise TypeError(f"cannot emit {type(value).__name__}")
+
+
+# -- parse -----------------------------------------------------------------
+
+
+def _need(doc: Any, key: str, where: str):
+    """``doc[key]``, where ``doc`` must be a JSON object holding ``key``."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected a JSON object in {where}")
     if key not in doc:
         raise ParseError(f"missing {key!r} in {where}")
     return doc[key]
 
 
-def _parse_int(text: Any, where: str) -> int:
+def _need_list(doc: Any, key: str, where: str) -> list:
+    """As :func:`_need`, for a value that must be a JSON array."""
+    value = _need(doc, key, where)
+    if not isinstance(value, list):
+        raise ParseError(f"{key!r} in {where} must be a JSON array")
+    return value
+
+
+def _parse_int(value: Any, where: str) -> int:
     """A JSON integer, or a decimal string of any length."""
-    try:
-        return _text_to_int(text) if isinstance(text, str) else int(text)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"bad integer {text!r} in {where}") from None
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return _text_to_int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"bad integer {value!r} in {where}")
 
 
-def _parse_degree(text: Any) -> int:
+def _parse_degree(value: Any) -> int:
     """A degree: as :func:`_parse_int`, but short enough for messages to print."""
-    if isinstance(text, str) and len(text) > _CHUNK_DIGITS:
+    if isinstance(value, str) and len(value) > _CHUNK_DIGITS:
         raise ParseError(f"bad integer in degrees: over {_CHUNK_DIGITS} digits")
-    return _parse_int(text, "degrees")
+    return _parse_int(value, "degrees")
 
 
-def _parse_gen(text: Any, where: str) -> Name:
+def _parse_gen(text: Any, where: str, names: dict[str, Name]) -> Name:
+    """The name ``text`` renders; ``names`` caches the names parsed so far."""
     if not isinstance(text, str):
         raise ParseError(f"generator name must be a string in {where}")
-    try:
-        return parse_name(text)
-    except ValueError as exc:
-        raise ParseError(f"bad generator name in {where}: {exc}") from None
+    name = names.get(text)
+    if name is None:
+        try:
+            name = names[text] = parse_name(text)
+        except ValueError as exc:
+            raise ParseError(f"bad generator name in {where}: {exc}") from None
+    return name
 
 
-def _put_once(table: dict, key: Any, value: Any, what: str, where: str) -> None:
-    """``table[key] = value``, rejecting a key the section already listed."""
+def _put_once(table: dict, key: Any, value: Any, where: str) -> None:
+    """``table[key] = value``, rejecting a key (a degree or a generator) listed before."""
     if key in table:
+        what = f"degree {key}" if isinstance(key, int) else f"generator {render_name(key)}"
         raise ParseError(f"{what} listed twice in {where}")
     table[key] = value
 
 
-def _parse_terms(entry: dict, where: str) -> dict[Name, int]:
+def _parse_terms(entry: Any, where: str, names: dict[str, Name]) -> dict[Name, int]:
     terms: dict[Name, int] = {}
-    for t in _need(entry, "terms", where):
-        g = _parse_gen(_need(t, "generator", "terms"), "terms")
+    section = "terms of " + where
+    for t in _need_list(entry, "terms", where):
+        g = _parse_gen(_need(t, "generator", "terms"), "terms", names)
         coeff = _parse_int(_need(t, "coeff", "terms"), "terms")
-        _put_once(terms, g, coeff, f"generator {render_name(g)}", f"terms of {where}")
+        _put_once(terms, g, coeff, section)
     return terms
 
 
-def document_to_complex(doc: dict[str, Any]) -> BasedComplex:
+def document_to_complex(doc: Any) -> BasedComplex:
     if _need(doc, "format_version", "document") != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {doc['format_version']!r}")
+    names: dict[str, Name] = {}
     degrees: dict[int, list[Name]] = {}
     gen_degree: dict[Name, int] = {}
-    for entry in _need(doc, "degrees", "document"):
+    for entry in _need_list(doc, "degrees", "document"):
         deg = _parse_degree(_need(entry, "degree", "degrees"))
+        where = f"degree {deg}"
         gens = [
-            _parse_gen(g, f"degree {deg}") for g in _need(entry, "generators", "degrees")
+            _parse_gen(g, where, names) for g in _need_list(entry, "generators", "degrees")
         ]
-        _put_once(degrees, deg, gens, f"degree {deg}", "degrees")
+        _put_once(degrees, deg, gens, "degrees")
         for g in gens:
-            _put_once(gen_degree, g, deg, f"generator {render_name(g)}", "degrees")
+            _put_once(gen_degree, g, deg, "degrees")
     diff: dict[Name, Chain] = {}
-    for entry in _need(doc, "differential", "document"):
-        g = _parse_gen(_need(entry, "generator", "differential"), "differential")
+    for entry in _need_list(doc, "differential", "document"):
+        g = _parse_gen(_need(entry, "generator", "differential"), "differential", names)
         if g not in gen_degree:
             raise ParseError(f"differential on unknown generator {render_name(g)}")
-        chain = Chain(gen_degree[g] - 1, _parse_terms(entry, "differential"))
-        _put_once(diff, g, chain, f"generator {render_name(g)}", "differential")
+        chain = Chain(gen_degree[g] - 1, _parse_terms(entry, "differential", names))
+        _put_once(diff, g, chain, "differential")
     aug: dict[Name, int] = {}
-    for entry in _need(doc, "augmentation", "document"):
-        g = _parse_gen(_need(entry, "generator", "augmentation"), "augmentation")
+    for entry in _need_list(doc, "augmentation", "document"):
+        g = _parse_gen(_need(entry, "generator", "augmentation"), "augmentation", names)
         value = _parse_int(_need(entry, "value", "augmentation"), "augmentation")
-        _put_once(aug, g, value, f"generator {render_name(g)}", "augmentation")
+        _put_once(aug, g, value, "augmentation")
     try:
         result = BasedComplex(degrees, diff, aug)
     except MalformedError as exc:
@@ -169,13 +259,14 @@ def document_to_complex(doc: dict[str, Any]) -> BasedComplex:
 def document_to_map(doc: dict[str, Any]) -> ComplexMap:
     source = document_to_complex(_need(doc, "source", "map document"))
     target = document_to_complex(_need(doc, "target", "map document"))
+    names: dict[str, Name] = {}
     assignment: dict[Name, Chain] = {}
-    for entry in _need(doc, "assignment", "map document"):
-        g = _parse_gen(_need(entry, "generator", "assignment"), "assignment")
+    for entry in _need_list(doc, "assignment", "map document"):
+        g = _parse_gen(_need(entry, "generator", "assignment"), "assignment", names)
         if not source.has_generator(g):
             raise ParseError(f"assignment on unknown generator {render_name(g)}")
-        chain = Chain(source.degree_of(g), _parse_terms(entry, "assignment"))
-        _put_once(assignment, g, chain, f"generator {render_name(g)}", "assignment")
+        chain = Chain(source.degree_of(g), _parse_terms(entry, "assignment", names))
+        _put_once(assignment, g, chain, "assignment")
     try:
         result = ComplexMap(source, target, assignment)
     except MalformedError as exc:
@@ -185,17 +276,6 @@ def document_to_map(doc: dict[str, Any]) -> ComplexMap:
         failing = check.failures()[0]
         raise ValidationError(f"map fails {failing.name} at {failing.witness}", check)
     return result
-
-
-def emit(value: Union[BasedComplex, ComplexMap]) -> str:
-    """Serialize deterministically; identical values give identical bytes."""
-    if isinstance(value, BasedComplex):
-        doc = complex_to_document(value)
-    elif isinstance(value, ComplexMap):
-        doc = map_to_document(value)
-    else:
-        raise TypeError(f"cannot emit {type(value).__name__}")
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def parse(text: str) -> Union[BasedComplex, ComplexMap]:

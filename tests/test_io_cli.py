@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,39 @@ def test_round_trip_map():
 
 def test_emit_is_deterministic():
     assert emit(cube(3)) == emit(cube(3))
+
+
+_GOLDEN = Path(__file__).with_name("emit_digests.json")
+
+
+def golden_values() -> dict:
+    """Every value whose ``emit`` digest is pinned in ``emit_digests.json``."""
+    from steinerlab import BasedComplex, Chain, section_xi, zero
+
+    big = 10**5000
+    odd = [("é\"\\x",), (" ",), ("a", ("b",))]
+    values = {f"shape {label}": c for label, c in shape_library(big=True).items()}
+    for n in range(4):
+        values[f"section_xi({n}) embed"] = section_xi(n).embed
+        values[f"section_xi({n}) retract"] = section_xi(n).retract
+    values["zero"] = zero()
+    values["odd atoms, 10**5000"] = BasedComplex(
+        {0: odd, 1: [("e",)]},
+        {("e",): Chain(0, {odd[0]: big, odd[1]: -big})},
+        dict.fromkeys(odd, big),
+    )
+    return values
+
+
+def test_emit_bytes_are_pinned():
+    digests = json.loads(_GOLDEN.read_text())
+    values = golden_values()
+    assert sorted(values) == sorted(digests)
+    for label, value in values.items():
+        text = emit(value)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digests[label], label
+        assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+        assert parse(text) == value, label
 
 
 def test_oriental_document_has_face_terms():
@@ -103,6 +138,31 @@ _REPEATED_ENTRIES = {
         lambda doc: doc["assignment"][0]["terms"].append(doc["assignment"][0]["terms"][0]),
         "generator 00 listed twice in terms of assignment",
     ),
+    # a bad name is reported with the section it was found in
+    "degree bad name": (
+        lambda doc: doc["degrees"][0]["generators"].append("a..b"),
+        "bad generator name in degree 0: empty name atom in 'a..b' at 2",
+    ),
+    "differential bad name": (
+        lambda doc: doc["differential"][0].update(generator="a..b"),
+        "bad generator name in differential: empty name atom in 'a..b' at 2",
+    ),
+    "augmentation bad name": (
+        lambda doc: doc["augmentation"][0].update(generator="("),
+        "bad generator name in augmentation: empty name component in '('",
+    ),
+    "differential term bad name": (
+        lambda doc: doc["differential"][0]["terms"][0].update(generator="a."),
+        "bad generator name in terms: empty name component in 'a.'",
+    ),
+    "assignment bad name": (
+        lambda doc: doc["assignment"][0].update(generator="(0"),
+        "bad generator name in assignment: unbalanced parentheses in name '(0'",
+    ),
+    "assignment term bad name": (
+        lambda doc: doc["assignment"][0]["terms"][0].update(generator="0)"),
+        "bad generator name in terms: trailing characters in name '0)'",
+    ),
 }
 
 
@@ -113,13 +173,18 @@ def test_parse_rejects_repeated_entries(section):
     repeat, message = _REPEATED_ENTRIES[section]
     doc = json.loads(emit(s2() if section.startswith("assignment") else interval()))
     repeat(doc)
-    with pytest.raises(ParseError, match=message):
+    with pytest.raises(ParseError) as err:
         parse(json.dumps(doc))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
     "value",
-    ["1_0", " 1", "1\n", "\u0661", "1e3", "+-1", "1" * 5000 + "_0", float("inf")],
+    [
+        "1_0", " 1", "1\n", "\u0661", "1e3", "+-1", "1" * 5000 + "_0", float("inf"),
+        # JSON numbers and booleans that are not integers
+        0.9, 1.0, True,
+    ],
 )
 def test_parse_rejects_non_decimal_integers(value):
     from steinerlab import interval
@@ -274,6 +339,40 @@ def test_cli_usage_errors(tmp_path, capsys):
     )
     assert main(["info", str(huge_degree)]) == 2
     assert "error [PARSE_ERROR]" in capsys.readouterr().err
+    wrong_type = tmp_path / "wrong_type.json"
+    for doc, message in _wrong_json_types():
+        wrong_type.write_text(json.dumps(doc))
+        assert main(["info", str(wrong_type)]) == 2, message
+        assert capsys.readouterr().err == f"error [PARSE_ERROR]: {message}\n"
+
+
+def _wrong_json_types():
+    """Documents with a JSON value of the wrong type, each with its parse error."""
+    from steinerlab import interval
+
+    def edit(value, change):
+        doc = json.loads(emit(value))
+        change(doc)
+        return doc
+
+    empty = {"format_version": "steinerlab/1", "kind": "complex",
+             "differential": [], "augmentation": []}
+    return [
+        ({**empty, "degrees": [5]}, "expected a JSON object in degrees"),
+        ({**empty, "degrees": 5}, "'degrees' in document must be a JSON array"),
+        # read loosely, each of the next three would be interval() itself
+        (edit(interval(), lambda d: d["degrees"][1].update(degree=True)),
+         "bad integer True in degrees"),
+        (edit(interval(), lambda d: d["degrees"][0].update(degree=0.9)),
+         "bad integer 0.9 in degrees"),
+        (edit(interval(), lambda d: d["degrees"][0].update(generators="01")),
+         "'generators' in degrees must be a JSON array"),
+        (edit(interval(), lambda d: d["differential"][0]["terms"].__setitem__(0, 7)),
+         "expected a JSON object in terms"),
+        (edit(interval(), lambda d: d["differential"][0].update(terms=5)),
+         "'terms' in differential must be a JSON array"),
+        (edit(s2(), lambda d: d.update(source=5)), "expected a JSON object in document"),
+    ]
 
 
 def test_cli_refuses_oversized_results_before_building(capsys):
