@@ -286,6 +286,8 @@ def parse(text: str) -> Union[BasedComplex, ComplexMap]:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from None
     except ValueError:  # a bare JSON integer over the int/str digit limit
         raise ParseError("invalid JSON: integer literal too long") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     kind = _need(doc, "kind", "document")

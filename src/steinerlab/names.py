@@ -48,7 +48,10 @@ def render_name(name: Name) -> str:
 
 def parse_name(text: str) -> Name:
     """Inverse of :func:`render_name`."""
-    parts, pos = _parse_parts(text, 0)
+    try:
+        parts, pos = _parse_parts(text, 0)
+    except RecursionError:
+        raise ValueError(f"name nested too deeply ({len(text)} characters)") from None
     if pos != len(text):
         raise ValueError(f"trailing characters in name {text!r}")
     return parts

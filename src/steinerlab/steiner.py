@@ -4,12 +4,16 @@ generation preorder, strong loop-freeness, and the combined verdict.
 The differential splits as ``d = plus - minus`` after cancellation; atoms
 descend through these parts; the preorder is generated by "occurs in the
 negative boundary of" and "the positive boundary contains", and strong
-loop-freeness asks that its closure is antisymmetric.
+loop-freeness asks that its closure is antisymmetric.  Parts are split
+without sorting, :func:`is_steiner` builds each atom table once, and the
+linear extension is Kahn's algorithm on a heap of ``name_key`` ranks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .cells import CellTable
 from .core import (
@@ -30,6 +34,11 @@ class NegativeEntryError(SteinerlabError):
     code = "NEGATIVE_ENTRY"
 
 
+def _split(dx: dict[Name, int]) -> tuple[dict[Name, int], dict[Name, int]]:
+    """The positive part of a sparse chain and its negated negative part."""
+    return {n: v for n, v in dx.items() if v > 0}, {n: -v for n, v in dx.items() if v < 0}
+
+
 def pos_neg_parts(c: BasedComplex, x: Chain) -> tuple[Chain, Chain]:
     """Split ``d(x)`` as (positive part, negated negative part).
 
@@ -38,10 +47,7 @@ def pos_neg_parts(c: BasedComplex, x: Chain) -> tuple[Chain, Chain]:
     """
     if x.degree == 0:
         raise DegreeMismatchError("no parts in degree 0", code="DEGREE_ZERO")
-    dx = c.d(x)
-    plus = Chain(x.degree - 1, {n: v for n, v in dx.items() if v > 0})
-    minus = Chain(x.degree - 1, {n: -v for n, v in dx.items() if v < 0})
-    return plus, minus
+    return tuple(Chain(x.degree - 1, part) for part in _split(c.d(x)._coeffs))
 
 
 def atom_table(c: BasedComplex, b: Name) -> CellTable:
@@ -49,30 +55,38 @@ def atom_table(c: BasedComplex, b: Name) -> CellTable:
     through positive/negative parts of the whole chain at each level."""
     n = c.degree_of(b)
     top = chain_of(n, b)
-    minus: list[Chain] = [top]
-    plus: list[Chain] = [top]
+    minus, plus = [top], [top]
     for k in range(n, 0, -1):
-        plus_part, _ = pos_neg_parts(c, plus[0])
-        _, minus_part = pos_neg_parts(c, minus[0])
-        for entry in (plus_part, minus_part):
-            if not entry.is_zero() and not entry.is_nonnegative():
-                raise NegativeEntryError(
-                    f"atom of {render_name(b)} leaves the natural span at level {k - 1}"
-                )
-        plus.insert(0, plus_part)
-        minus.insert(0, minus_part)
-    return CellTable(c, n, tuple(minus), tuple(plus))
+        plus_parts = _split(c.d(plus[-1])._coeffs)
+        # The top entries are one chain: split it once for both sides.
+        minus_parts = plus_parts if minus[-1] is plus[-1] else _split(c.d(minus[-1])._coeffs)
+        plus.append(Chain(k - 1, plus_parts[0]))
+        minus.append(Chain(k - 1, minus_parts[1]))
+        if not (plus[-1].is_nonnegative() and minus[-1].is_nonnegative()):
+            raise NegativeEntryError(
+                f"atom of {render_name(b)} leaves the natural span at level {k - 1}"
+            )
+    return CellTable(c, n, tuple(reversed(minus)), tuple(reversed(plus)))
+
+
+def _atom_items(c: BasedComplex) -> tuple[CheckItem, ...]:
+    """``ATOMS_NATURAL`` and ``UNITALITY`` from one atom table per generator,
+    built in basis order and not kept; each witness is the first failure."""
+    natural = unital = None
+    try:
+        for _, b in c.all_generators():
+            t = atom_table(c, b)
+            if unital is None and (c.eps(t.minus[0]) != 1 or c.eps(t.plus[0]) != 1):
+                unital = render_name(b)
+    except NegativeEntryError as exc:
+        natural = str(exc)
+    items = (("ATOMS_NATURAL", natural), ("UNITALITY", unital))
+    return tuple(CheckItem(name, w is None, w) for name, w in items)
 
 
 def unitality_check(c: BasedComplex) -> CheckReport:
     """Every atom must reach augmentation one at level zero on both sides."""
-    witness = None
-    for _, b in c.all_generators():
-        table = atom_table(c, b)
-        if c.eps(table.minus[0]) != 1 or c.eps(table.plus[0]) != 1:
-            witness = render_name(b)
-            break
-    return report(CheckItem("UNITALITY", witness is None, witness))
+    return report(_atom_items(c)[1])
 
 
 @dataclass(frozen=True)
@@ -89,56 +103,50 @@ class PreorderRelation:
         return out
 
 
-def preorder(c: BasedComplex) -> PreorderRelation:
-    """Generated by: x below g for x in the negative part of d(g), and g
-    below y for y in the positive part."""
+def _preorder(c: BasedComplex, order) -> PreorderRelation:
+    """:func:`preorder`, each part of each differential listed in ``order``.
+    Edges join adjacent degrees, so none is a loop."""
     elements = tuple(g for _, g in c.all_generators())
     edges: list[tuple[Name, Name]] = []
     for degree, g in c.all_generators():
-        if degree == 0:
-            continue
-        plus, minus = pos_neg_parts(c, chain_of(degree, g))
-        for x in minus.support():
-            edges.append((x, g))
-        for y in plus.support():
-            edges.append((g, y))
+        if degree:
+            plus, minus = _split(c.diff[g]._coeffs)
+            edges += [(x, g) for x in order(minus)] + [(g, y) for y in order(plus)]
     return PreorderRelation(elements, tuple(edges))
+
+
+def preorder(c: BasedComplex) -> PreorderRelation:
+    """Generated by: x below g for x in the negative part of d(g), and g
+    below y for y in the positive part."""
+    return _preorder(c, lambda part: sorted(part, key=name_key))
 
 
 def is_strongly_loopfree(c: BasedComplex) -> CheckReport:
     """Antisymmetry of the generated preorder: no directed cycle through two
     or more distinct generators.  The witness is a cycle on failure; a linear
     extension is attached on success."""
-    rel = preorder(c)
+    rel = _preorder(c, list)  # edge order cannot change the result
     succ = rel.successors()
-    indegree = {e: 0 for e in rel.elements}
-    for a, b in rel.edges:
-        if a != b:
-            indegree[b] += 1
-    ready = sorted((e for e, d in indegree.items() if d == 0), key=name_key)
+    indegree = Counter(b for _, b in rel.edges)
+    by_rank = sorted(rel.elements, key=name_key)
+    rank = {g: i for i, g in enumerate(by_rank)}
+    ready = [i for i, g in enumerate(by_rank) if not indegree[g]]  # sorted: a heap
     order: list[Name] = []
     while ready:
-        node = ready.pop(0)
+        node = by_rank[heappop(ready)]
         order.append(node)
-        changed = []
         for nxt in succ[node]:
-            if nxt == node:
-                continue
             indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                changed.append(nxt)
-        if changed:
-            ready = sorted(ready + changed, key=name_key)
+            if not indegree[nxt]:
+                heappush(ready, rank[nxt])
     if len(order) == len(rel.elements):
         extension = " < ".join(render_name(g) for g in order[:6])
         more = "" if len(order) <= 6 else " < ..."
-        return report(
-            CheckItem("STRONGLY_LOOPFREE", True, extension + more if order else None)
-        )
+        return report(CheckItem("STRONGLY_LOOPFREE", True, extension + more if order else None))
     remaining = {e for e in rel.elements if indegree[e] > 0}
     pred: dict[Name, list[Name]] = {e: [] for e in remaining}
     for a, b in rel.edges:
-        if a != b and a in remaining and b in remaining:
+        if a in remaining and b in remaining:
             pred[b].append(a)
     seen: list[Name] = []
     node = min(remaining, key=name_key)
@@ -153,14 +161,6 @@ def is_strongly_loopfree(c: BasedComplex) -> CheckReport:
 def is_steiner(c: BasedComplex) -> CheckReport:
     """Conjunction: valid complex, all atoms natural, unital, loop-free."""
     base = validate_complex(c)
-    atoms_witness = None
-    if base.passed:
-        try:
-            for _, b in c.all_generators():
-                atom_table(c, b)
-        except NegativeEntryError as exc:
-            atoms_witness = str(exc)
-        atoms = report(CheckItem("ATOMS_NATURAL", atoms_witness is None, atoms_witness))
-        rest = unitality_check(c).merged(is_strongly_loopfree(c))
-        return base.merged(atoms).merged(rest)
-    return base
+    if not base.passed:
+        return base
+    return base.merged(report(*_atom_items(c))).merged(is_strongly_loopfree(c))

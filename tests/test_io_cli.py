@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -344,6 +347,42 @@ def test_cli_usage_errors(tmp_path, capsys):
         wrong_type.write_text(json.dumps(doc))
         assert main(["info", str(wrong_type)]) == 2, message
         assert capsys.readouterr().err == f"error [PARSE_ERROR]: {message}\n"
+
+
+def test_cli_rejects_deep_json_nesting(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["info", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error [PARSE_ERROR]: invalid JSON: arrays or objects nested too deeply\n"
+
+
+def test_cli_rejects_deeply_nested_name(tmp_path, capsys):
+    from steinerlab import unit
+
+    name = "(" * 5000 + "a" + ")" * 5000
+    deep = tmp_path / "deep_name.json"
+    deep.write_text(emit(unit()).replace('"u"', json.dumps(name)))
+    assert main(["info", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [PARSE_ERROR]: bad generator name in degree 0: name nested")
+
+
+def test_cli_stdout_does_not_depend_on_hash_seed():
+    """Set iteration order follows the hash seed; no stdout byte may."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    commands = (["suite", "--json"], ["check", "steiner", "cube:4"], ["atoms", "--json", "oriental:3"])
+    for argv in commands:
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "steinerlab.cli", *argv],
+                env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outs[0] == outs[1], argv
 
 
 def _wrong_json_types():

@@ -132,6 +132,30 @@ def test_dual_co_fixes_interval():
     assert dual_co(interval()) == interval()
 
 
+def test_dual_co_map_on_inclusions_and_wedge_legs():
+    from steinerlab import disk_inclusion, dual_co_map, wedge_with_legs
+
+    def check(f):
+        g = dual_co_map(f)
+        assert g.source == dual_co(f.source) and g.target == dual_co(f.target)
+        assert validate_map(g).passed
+        assert dual_co_map(g) == f
+
+    pairs = []  # composable (first, then) pairs of library maps
+    for i in range(1, 4):
+        _, leg_l, leg_r = wedge_with_legs(disk(i), ("b1",), oriental(2), ("0",))
+        check(leg_l)
+        check(leg_r)
+        for side in ("source", "target"):
+            for j in range(i + 1):
+                f = disk_inclusion(j, i, side)
+                check(f)
+                pairs.append((f, leg_l))
+                pairs += [(f, disk_inclusion(i, i + 1, s)) for s in ("source", "target")]
+    for f, g in pairs:
+        assert dual_co_map(compose(f, g)) == compose(dual_co_map(f), dual_co_map(g))
+
+
 def test_swap_isos_are_isomorphisms():
     pairs = [(interval(), disk(2)), (oriental(1), oriental(2)), (cube(2), interval())]
     for a, b in pairs:

@@ -1,21 +1,38 @@
+import random
+
 import pytest
 
 from steinerlab import (
+    BasedComplex,
     Chain,
+    CheckItem,
     chain_of,
     cube,
     disk,
+    gray_tensor,
+    interval,
     oriental,
     pos_neg_parts,
     preorder,
     is_steiner,
     is_strongly_loopfree,
+    shape_library,
+    suspension,
     unit,
     unitality_check,
+    validate_complex,
     zero,
 )
-from steinerlab.acceptance import fixture_loop, fixture_non_unital
-from steinerlab.core import DegreeMismatchError
+from steinerlab.acceptance import (
+    fixture_broken_augmentation,
+    fixture_broken_d2,
+    fixture_loop,
+    fixture_non_unital,
+    random_steiner_complex,
+)
+from steinerlab.cells import CellTable
+from steinerlab.core import DegreeMismatchError, report
+from steinerlab.names import name_key, render_name
 from steinerlab.steiner import atom_table
 
 
@@ -136,3 +153,152 @@ def test_duals_preserve_steiner():
     for c in shape_library().values():
         assert is_steiner(dual_op(c)).passed
         assert is_steiner(dual_co(c)).passed
+
+
+# -- the one-pass analysis against a sorted, item-by-item oracle ---------------
+
+
+def _oracle_atom(c, b):
+    """The atom of ``b``, each level split from the name-sorted items of d."""
+
+    def parts(x):
+        dx = c.d(x).items()
+        plus = Chain(x.degree - 1, {n: v for n, v in dx if v > 0})
+        return plus, Chain(x.degree - 1, {n: -v for n, v in dx if v < 0})
+
+    n = c.degree_of(b)
+    minus = [chain_of(n, b)]
+    plus = [chain_of(n, b)]
+    for _ in range(n):
+        plus.insert(0, parts(plus[0])[0])
+        minus.insert(0, parts(minus[0])[1])
+    return CellTable(c, n, tuple(minus), tuple(plus))
+
+
+def _oracle_edges(c):
+    """The preorder's edges in its public order: per generator, the negative
+    part of its differential, then the positive part, each by name."""
+    edges = []
+    for degree, g in c.all_generators():
+        if degree:
+            dg = c.diff[g].items()
+            edges += [(x, g) for x, v in dg if v < 0] + [(g, y) for y, v in dg if v > 0]
+    return edges
+
+
+def _oracle_loopfree(c):
+    """Kahn's algorithm re-sorting the ready list after every step; on a
+    cycle, walk least predecessors from the least generator left."""
+    elements = [g for _, g in c.all_generators()]
+    edges = _oracle_edges(c)
+    indegree = {e: sum(1 for _, b in edges if b == e) for e in elements}
+    ready = sorted((e for e in elements if not indegree[e]), key=name_key)
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for a, b in edges:
+            if a == node:
+                indegree[b] -= 1
+                if not indegree[b]:
+                    ready = sorted(ready + [b], key=name_key)
+    if len(order) == len(elements):
+        text = " < ".join(render_name(g) for g in order[:6])
+        text += " < ..." if len(order) > 6 else ""
+        return CheckItem("STRONGLY_LOOPFREE", True, text or None)
+    remaining = {e for e in elements if indegree[e]}
+    seen = []
+    node = min(remaining, key=name_key)
+    while node not in seen:
+        seen.append(node)
+        node = min((a for a, b in edges if b == node and a in remaining), key=name_key)
+    cycle = [node] + seen[seen.index(node) + 1 :][::-1] + [node]
+    return CheckItem("STRONGLY_LOOPFREE", False, " <= ".join(render_name(g) for g in cycle))
+
+
+def _oracle_unitality(c):
+    """The first generator, in basis order, whose atom is not unital."""
+    for _, b in c.all_generators():
+        t = _oracle_atom(c, b)
+        if c.eps(t.minus[0]) != 1 or c.eps(t.plus[0]) != 1:
+            return CheckItem("UNITALITY", False, render_name(b))
+    return CheckItem("UNITALITY", True, None)
+
+
+def _oracle_is_steiner(c):
+    base = validate_complex(c)
+    if not base.passed:
+        return list(base.checks)
+    # both parts of every split are non-negative, so every atom is natural
+    natural = CheckItem("ATOMS_NATURAL", True, None)
+    return list(base.checks) + [natural, _oracle_unitality(c), _oracle_loopfree(c)]
+
+
+def _random_graph(rng):
+    """A seeded directed graph, often with cycles; some edges have the
+    non-unital boundary y + z - 2x."""
+    vs = [(f"v{i}",) for i in range(rng.randint(3, 6))]
+    diff = {}
+    for i in range(rng.randint(1, 8)):
+        x, y, z = rng.sample(vs, 3)
+        terms = {y: 1, z: 1, x: -2} if rng.random() < 0.15 else {y: 1, x: -1}
+        diff[(f"e{i}",)] = Chain(0, terms)
+    return BasedComplex({0: vs, 1: list(diff)}, diff, {v: 1 for v in vs})
+
+
+def _differential_corpus():
+    rng = random.Random(20261018)
+    corpus = list(shape_library().values()) + [fixture_loop(), fixture_non_unital()]
+    # invalid complexes: is_steiner stops at validation; atoms are still compared
+    corpus += [fixture_broken_d2(), fixture_broken_augmentation()]
+    corpus += [random_steiner_complex(rng) for _ in range(25)]
+    for _ in range(25):
+        g = _random_graph(rng)
+        corpus += [g, gray_tensor(g, interval()), suspension(g)]
+    return corpus
+
+
+def test_is_steiner_matches_sorted_oracle():
+    verdicts = set()
+    for c in _differential_corpus():
+        rep = is_steiner(c)
+        expected = _oracle_is_steiner(c)
+        assert list(rep.checks) == expected
+        assert rep.lines() == report(*expected).lines()
+        assert unitality_check(c).checks == (_oracle_unitality(c),)
+        assert is_strongly_loopfree(c).checks == (_oracle_loopfree(c),)
+        assert list(preorder(c).edges) == _oracle_edges(c)
+        for _, b in c.all_generators():
+            assert atom_table(c, b) == _oracle_atom(c, b)
+        verdicts.add(tuple(item.passed for item in rep.checks))
+    # the corpus reaches each outcome: all pass, not unital, not loop-free
+    assert {(True,) * 6, (True,) * 4 + (False, True), (True,) * 5 + (False,)} <= verdicts
+
+
+def test_report_text_is_pinned():
+    extensions = {
+        "0000 < 000i < 0001 < 00i1 < 00ii < 00i0 < ...": cube(4),
+        "0 < 0.5 < 0.4.5 < 0.4 < 0.3.4 < 0.3.4.5 < ...": oriental(5),
+        "b0 < s.(b0) < s.(s.(b0)) < s.(s.(s.(u))) < s.(s.(b1)) < s.(b1) < ...": disk(3),
+    }
+    for text, c in extensions.items():
+        assert is_strongly_loopfree(c).checks[0].witness == text
+    assert is_steiner(fixture_loop()).lines()[-1] == (
+        "FAIL  STRONGLY_LOOPFREE  [e <= y <= f <= x <= e]"
+    )
+
+
+def test_is_steiner_builds_each_atom_table_once(monkeypatch):
+    from steinerlab import steiner
+
+    built = []
+    real = steiner.atom_table
+
+    def counted(c, b):
+        built.append(b)
+        return real(c, b)
+
+    monkeypatch.setattr(steiner, "atom_table", counted)
+    c = cube(4)
+    assert is_steiner(c).passed
+    assert len(built) == len(set(built)) == c.size
