@@ -39,6 +39,7 @@ from .core import (
     CompositionError,
     DegreeMismatchError,
     MalformedError,
+    NameDepthError,
     SizeLimitError,
     SteinerlabError,
     basis_renaming_map,

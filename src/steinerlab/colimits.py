@@ -2,18 +2,24 @@
 
 Pushouts and coequalizers are computed degreewise as cokernels of integer
 relation matrices.  Elimination uses unit pivots chosen deterministically
-(smallest absolute coefficient, then basis position, i.e. name order);
-whenever the quotient is degreewise free and spanned by surviving original
-generators, a genuine :class:`~steinerlab.core.BasedComplex` is returned
-together with its legs.  Otherwise the result carries a torsion witness (an
-elementary divisor greater than one) or a non-based diagnostic instead of a
-complex.  Eliminated generators resolve to survivors in one loop, without
-recursion, however long the chain of identifications.
+(smallest absolute coefficient, then basis position, i.e. name order, then
+row); whenever the quotient is degreewise free and spanned by surviving
+original generators, a genuine :class:`~steinerlab.core.BasedComplex` is
+returned together with its legs.  Otherwise the result carries a torsion
+witness (an elementary divisor greater than one) or a non-based diagnostic
+instead of a complex.  The pivot comes off a heap of row entries, and a
+column -> rows index hands each pivot only the rows that hold its column, so
+a pivot costs the rows it changes rather than a rescan of all of them.
+Eliminated generators resolve to survivors in one loop, without recursion,
+however long the chain of identifications.  Relation rows, legs and
+projections are read from each chain's dict without sorting: rows are keyed
+by basis position, and chains compare as dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .core import (
@@ -27,7 +33,7 @@ from .core import (
     chain_of,
     direct_sum,
 )
-from .names import Name, render_name
+from .names import Name, name_key, render_name
 
 
 class NonBasedPushoutError(SteinerlabError):
@@ -68,6 +74,16 @@ class _Eliminator:
     generators.  A non-unit pivot reduces the other rows by floor division,
     or is parked in ``residual`` if it reduces none; a pass that changed a
     parked row runs again on the parked rows.
+
+    A pass keys its live rows by a sequence number: the rows it starts with
+    get ``0..n-1`` and a reducing non-unit pivot row comes back with the next
+    one.  Removing rows keeps the relative order of the others, and a row
+    that comes back goes last, so sequence order is the order of a list of
+    the live rows.  The pivot is the least valid entry of a heap keyed
+    ``(|coeff|, position, seq)``; an entry is valid while its row is live
+    and still holds that absolute value there, and every change pushes a
+    fresh entry.  A column -> sequence-numbers index lets a pivot touch only
+    the rows that hold its column.
     """
 
     def __init__(self, relations: list[dict[int, int]]):
@@ -90,32 +106,65 @@ class _Eliminator:
 
     def _main_pass(self) -> bool:
         """Pivot until no row is left; return whether a parked row changed."""
-        rows, parked = self.rows, self.residual
+        live = dict(enumerate(row for row in self.rows if row))
+        self.rows = []
+        parked = self.residual
+        holders: dict[int, set[int]] = {}
+        heap = []
+        for seq, row in live.items():
+            for g, c in row.items():
+                holders.setdefault(g, set()).add(seq)
+                heap.append((abs(c), g, seq))
+        heapify(heap)
+
+        def update(seq: int, terms: dict[int, int], scale: int) -> None:
+            row = live[seq]
+            add_scaled(row, terms, scale)
+            for h in terms:
+                c = row.get(h)
+                if c:
+                    holders.setdefault(h, set()).add(seq)
+                    heappush(heap, (abs(c), h, seq))
+                else:
+                    holders[h].discard(seq)
+            if not row:
+                del live[seq]
+
+        next_seq = len(live)
         parked_changed = False
-        while rows:
-            _, col, idx = min(
-                (abs(c), g, i) for i, row in enumerate(rows) for g, c in row.items()
-            )
-            prow = rows.pop(idx)
+        while live:
+            size, col, seq = heappop(heap)
+            prow = live.get(seq)
+            if prow is None or abs(prow.get(col, 0)) != size:
+                continue
+            del live[seq]
+            for g in prow:
+                holders[g].discard(seq)
             coeff = prow[col]
-            if abs(coeff) == 1:
+            if size == 1:
                 expr = {h: -coeff * c for h, c in prow.items() if h != col}
                 self.expr[col] = expr
-                parked_changed = parked_changed or any(col in row for row in parked)
-                for other in rows + parked:
+                for other in parked:
                     c = other.pop(col, 0)
                     if c:
+                        parked_changed = True
                         add_scaled(other, expr, c)
-                rows[:] = [r for r in rows if r]
+                for t in holders.pop(col, ()):
+                    update(t, expr, live[t].pop(col))
             else:
-                reduced = False
-                for other in rows:
-                    q = other.get(col, 0) // coeff
-                    if q:
-                        reduced = True
-                        add_scaled(other, prow, -q)
-                rows[:] = [r for r in rows if r]
-                (rows if reduced else parked).append(prow)
+                # No live entry is smaller than the pivot, so every other
+                # holder of its column is reduced by a non-zero quotient.
+                targets = tuple(holders.get(col, ()))
+                for t in targets:
+                    update(t, prow, -(live[t][col] // coeff))
+                if targets:
+                    live[next_seq] = prow
+                    for g, c in prow.items():
+                        holders.setdefault(g, set()).add(next_seq)
+                        heappush(heap, (abs(c), g, next_seq))
+                    next_seq += 1
+                else:
+                    parked.append(prow)
         return parked_changed
 
     def resolved(self) -> dict[int, dict[int, int]]:
@@ -196,10 +245,11 @@ def quotient_by_relations(
     for rel in relations:
         where = positions.get(rel.degree, {})
         try:
-            row = {where[g]: c for g, c in rel.items()}
-        except KeyError as exc:
+            row = {where[g]: c for g, c in rel._coeffs.items()}
+        except KeyError:
+            stray = min((g for g in rel._coeffs if g not in where), key=name_key)
             raise MalformedError(
-                f"relation term {render_name(exc.args[0])} is not a degree"
+                f"relation term {render_name(stray)} is not a degree"
                 f" {rel.degree} generator of the ambient complex"
             ) from None
         if row:
@@ -220,7 +270,7 @@ def quotient_by_relations(
             return chain
         where, gens = positions[chain.degree], ambient.degrees[chain.degree]
         out: dict[int, int] = {}
-        for name, coeff in chain.items():
+        for name, coeff in chain._coeffs.items():
             p = where[name]
             add_scaled(out, images.get(p, {p: 1}), coeff)
         return Chain(chain.degree, {gens[p]: c for p, c in out.items()})
@@ -252,8 +302,8 @@ def pushout(f: ComplexMap, g: ComplexMap) -> PushoutResult:
     ambient = direct_sum(f.target, g.target)
     relations = []
     for deg, c in f.source.all_generators():
-        left = Chain(deg, {("l", n): v for n, v in f.of_gen(c).items()})
-        right = Chain(deg, {("r", n): v for n, v in g.of_gen(c).items()})
+        left = Chain(deg, {("l", n): v for n, v in f.of_gen(c)._coeffs.items()})
+        right = Chain(deg, {("r", n): v for n, v in g.of_gen(c)._coeffs.items()})
         relations.append(left - right)
     quotient, projection, witness, reason = quotient_by_relations(ambient, relations)
     if quotient is None or projection is None:

@@ -54,6 +54,13 @@ class SizeLimitError(SteinerlabError):
     code = "SIZE_LIMIT"
 
 
+class NameDepthError(SteinerlabError, ValueError):
+    """A name nested past ``names.MAX_NAME_DEPTH``; a ``ValueError`` too, so a
+    parser that reports bad name text reports this the same way."""
+
+    code = "NAME_DEPTH"
+
+
 def max_generators() -> int:
     raw = os.environ.get("STEINERLAB_MAX_GENERATORS")
     if raw is None:

@@ -17,54 +17,79 @@ NamePart = Union[str, "Name"]
 
 _RESERVED = set(".()")
 
+# The deepest a name may nest: ("u",) is one level, ("s", ("u",)) two.  Each
+# walk over a name (check, key, render, parse, tuple comparison) takes one
+# interpreter frame a level, so names this deep leave about half of the
+# default recursion limit of 1000 to callers.  It is the top generator of
+# disk(491), the largest disk `steinerlab gen disk` built before the bound
+# existed (disk 492 ran out of stack).
+MAX_NAME_DEPTH = 492
+
+
+def _check_depth(depth: int) -> None:
+    """Refuse a name nested ``depth`` levels deep over the bound, before it is built."""
+    if depth > MAX_NAME_DEPTH:
+        from .core import NameDepthError  # core imports this module first
+
+        raise NameDepthError(
+            f"name nested {depth} levels deep, past the bound of {MAX_NAME_DEPTH}"
+        )
+
 
 def check_name(name: object) -> Name:
-    """Validate the nested-tuple shape of a name and return it."""
+    """Validate the nested-tuple shape and the depth of a name and return it."""
+    _check_parts(name, 1)
+    return name
+
+
+def _check_parts(name: object, depth: int) -> None:
     if not isinstance(name, tuple) or not name:
         raise TypeError(f"generator name must be a non-empty tuple, got {name!r}")
+    _check_depth(depth)
     for part in name:
         if isinstance(part, str):
             if not part or _RESERVED & set(part):
                 raise TypeError(f"bad name atom {part!r} in {name!r}")
         else:
-            check_name(part)
-    return name
+            _check_parts(part, depth + 1)
 
 
 def name_key(name: Name):
-    """Deterministic sort key; atoms order before nested names."""
-    return tuple(
-        ("a", part) if isinstance(part, str) else ("t", name_key(part))
-        for part in name
-    )
+    """Deterministic sort key; atoms order before nested names.
+
+    A nested name's key follows its ``"t"`` tag inline, which orders exactly
+    as the pair ``("t", key)`` would with one tuple level per name level.
+    """
+    key = []
+    for part in name:
+        key.append(("a", part) if isinstance(part, str) else ("t",) + name_key(part))
+    return tuple(key)
 
 
 def render_name(name: Name) -> str:
-    return ".".join(
-        part if isinstance(part, str) else "(" + render_name(part) + ")"
-        for part in name
-    )
+    out = []
+    for part in name:
+        out.append(part if isinstance(part, str) else "(" + render_name(part) + ")")
+    return ".".join(out)
 
 
 def parse_name(text: str) -> Name:
     """Inverse of :func:`render_name`."""
-    try:
-        parts, pos = _parse_parts(text, 0)
-    except RecursionError:
-        raise ValueError(f"name nested too deeply ({len(text)} characters)") from None
+    parts, pos = _parse_parts(text, 0, 1)
     if pos != len(text):
         raise ValueError(f"trailing characters in name {text!r}")
     return parts
 
 
-def _parse_parts(text: str, pos: int) -> tuple[Name, int]:
+def _parse_parts(text: str, pos: int, depth: int) -> tuple[Name, int]:
     parts: list[NamePart] = []
     n = len(text)
     while True:
         if pos >= n:
             raise ValueError(f"empty name component in {text!r}")
         if text[pos] == "(":
-            sub, pos = _parse_parts(text, pos + 1)
+            _check_depth(depth + 1)
+            sub, pos = _parse_parts(text, pos + 1, depth + 1)
             if pos >= n or text[pos] != ")":
                 raise ValueError(f"unbalanced parentheses in name {text!r}")
             pos += 1

@@ -27,6 +27,7 @@ from .core import (
     CheckReport,
     ComplexMap,
     MalformedError,
+    NameDepthError,
     SteinerlabError,
     basis_renaming_map,
     chain_of,
@@ -41,7 +42,7 @@ from .core import (
     validate_complex,
     validate_map,
 )
-from .names import Name
+from .names import MAX_NAME_DEPTH, Name
 from .ops import dual_co, join, suspension
 from .steiner import atom_table
 
@@ -98,11 +99,23 @@ def disk_top_gen(n: int) -> Name:
     return name
 
 
+def _check_disk_dims(n: int) -> None:
+    """Refuse a disk dimension below zero, or one whose top generator would
+    nest past ``MAX_NAME_DEPTH`` (``n + 1`` levels); the boundary of the
+    n-disk is refused with it."""
+    if n < 0:
+        raise BadDimsError(f"disk dimension must be >= 0, got {n}")
+    if n >= MAX_NAME_DEPTH:
+        raise NameDepthError(
+            f"disk dimension {n} needs names nested {n + 1} levels deep,"
+            f" past the bound of {MAX_NAME_DEPTH}"
+        )
+
+
 @lru_cache(maxsize=None)
 def disk(n: int) -> BasedComplex:
     """The n-disk: one generator on top, a source/target pair below."""
-    if n < 0:
-        raise BadDimsError(f"disk dimension must be >= 0, got {n}")
+    _check_disk_dims(n)
     if n == 0:
         return unit()
     return suspension(disk(n - 1))
@@ -112,8 +125,7 @@ def disk(n: int) -> BasedComplex:
 def boundary_disk(n: int) -> BasedComplex:
     """The boundary of the n-disk: the iterated suspension of the empty
     complex, with a source/target pair in degrees below n."""
-    if n < 0:
-        raise BadDimsError(f"disk dimension must be >= 0, got {n}")
+    _check_disk_dims(n)
     if n == 0:
         return zero()
     return suspension(boundary_disk(n - 1))

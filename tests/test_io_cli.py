@@ -368,6 +368,20 @@ def test_cli_rejects_deeply_nested_name(tmp_path, capsys):
     assert err.startswith("error [PARSE_ERROR]: bad generator name in degree 0: name nested")
 
 
+def test_cli_refuses_names_past_the_depth_bound(tmp_path, capsys):
+    from steinerlab import unit
+
+    name = "(" * 600 + "a" + ")" * 600
+    deep = tmp_path / "deep600.json"
+    deep.write_text(emit(unit()).replace('"u"', json.dumps(name)))
+    assert main(["info", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [PARSE_ERROR]: bad generator name in degree 0: name nested")
+    for argv in (["gen", "disk", "1200"], ["gen", "boundary-disk", "1200"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error [NAME_DEPTH]: disk dimension 1200 ")
+
+
 def test_cli_stdout_does_not_depend_on_hash_seed():
     """Set iteration order follows the hash seed; no stdout byte may."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import given, strategies as st
 
-from steinerlab.names import name_key, parse_name, render_name
+from steinerlab import BasedComplex, Chain, NameDepthError, emit, parse
+from steinerlab.names import MAX_NAME_DEPTH, check_name, name_key, parse_name, render_name
 
 atoms = st.text(
     alphabet=st.sampled_from("01iubsjwlrx2345"), min_size=1, max_size=4
@@ -24,6 +26,52 @@ def test_name_key_total_order(a, b):
     ka, kb = name_key(a), name_key(b)
     assert (ka == kb) == (a == b)
     assert (ka < kb) or (kb < ka) or (ka == kb)
+
+
+def _pair_key(name):
+    """The key as nested ``(tag, key)`` pairs: two tuple levels a name level."""
+    return tuple(("a", p) if isinstance(p, str) else ("t", _pair_key(p)) for p in name)
+
+
+@given(names, names)
+def test_name_key_orders_like_pair_key(a, b):
+    assert (name_key(a) < name_key(b)) == (_pair_key(a) < _pair_key(b))
+
+
+def _nested(atom: str, depth: int):
+    name = (atom,)
+    for _ in range(depth - 1):
+        name = ("s", name)
+    return name
+
+
+def _at_stack_depth(frames, fn):
+    return fn() if frames == 0 else _at_stack_depth(frames - 1, fn)
+
+
+def test_names_at_the_depth_bound_leave_stack_to_callers():
+    # Two names as deep as allowed, equal down to the last atom, so sorting
+    # and comparing them walks every level; run 400 frames down the stack.
+    low, high = _nested("a", MAX_NAME_DEPTH), _nested("b", MAX_NAME_DEPTH)
+
+    def round_trip():
+        c = BasedComplex({0: [high, low]}, {}, {low: 1, high: 1})
+        assert c.generators(0) == (low, high)
+        text = emit(c)
+        assert parse(text) == c and emit(parse(text)) == text
+        assert parse_name(render_name(high)) == high
+
+    _at_stack_depth(400, round_trip)
+
+
+def test_names_past_the_depth_bound_are_refused():
+    too_deep = _nested("a", MAX_NAME_DEPTH + 1)
+    with pytest.raises(NameDepthError) as exc:
+        check_name(too_deep)
+    assert exc.value.code == "NAME_DEPTH"
+    with pytest.raises(ValueError, match="name nested"):
+        parse_name(render_name(too_deep))
+    assert check_name(_nested("a", MAX_NAME_DEPTH)) == _nested("a", MAX_NAME_DEPTH)
 
 
 def test_render_examples():

@@ -6,6 +6,7 @@ from math import comb
 from steinerlab import (
     BadDimsError,
     Chain,
+    NameDepthError,
     ThetaSpec,
     antioriental,
     boundary_decomposition_check,
@@ -32,6 +33,7 @@ from steinerlab import (
     wedge,
     zero,
 )
+from steinerlab.names import MAX_NAME_DEPTH
 from steinerlab.shapes import EmptyComplexError
 from steinerlab.steiner import is_steiner
 
@@ -51,6 +53,15 @@ def test_disk_family():
         assert boundary_disk(n) == truncate_top(disk(n))
     with pytest.raises(BadDimsError):
         disk(-1)
+
+
+def test_disks_past_the_name_depth_bound_are_refused_before_recursing():
+    # disk(n) tops out in a name n + 1 levels deep; 1200 levels of recursion
+    # would exhaust the stack, so the refusal must come first
+    for build in (disk, boundary_disk):
+        for n in (MAX_NAME_DEPTH, 1200):
+            with pytest.raises(NameDepthError, match=f"disk dimension {n} "):
+                build(n)
 
 
 def test_cube_family():
