@@ -18,9 +18,16 @@ from typing import Optional, Sequence
 
 from . import acceptance
 from .basic import interval, unit, zero
-from .core import BasedComplex, CheckReport, SteinerlabError, graded_counts, validate_complex
+from .core import (
+    BasedComplex,
+    CheckReport,
+    NameDepthError,
+    SteinerlabError,
+    graded_counts,
+    validate_complex,
+)
 from .io import _chain_terms, emit, parse
-from .names import parse_name, render_name
+from .names import Name, parse_name, render_name
 from .ops import (
     antijoin,
     antisuspension,
@@ -111,6 +118,17 @@ def _write_output(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text)
 
 
+def _name_arg(text: str) -> Name:
+    """A generator name given on the command line; bad text is a usage error,
+    and an over-deep name keeps its ``NAME_DEPTH`` code."""
+    try:
+        return parse_name(text)
+    except NameDepthError:
+        raise
+    except ValueError as exc:
+        raise UsageError(f"bad generator name {text!r}: {exc}") from None
+
+
 def _ints(values: Sequence[str], what: str) -> list[int]:
     try:
         return [int(v) for v in values]
@@ -190,7 +208,7 @@ def _cmd_gen(args) -> int:
             raise UsageError("gen wedge takes: complex_a gen_a complex_b gen_b")
         a = _load_complex(args.params[0])
         b = _load_complex(args.params[2])
-        value = wedge(a, parse_name(args.params[1]), b, parse_name(args.params[3]))
+        value = wedge(a, _name_arg(args.params[1]), b, _name_arg(args.params[3]))
     else:
         raise UsageError(f"unknown shape {kind!r}")
     _write_output(emit(value), args.out)
@@ -250,7 +268,8 @@ def _cmd_info(args) -> int:
 def _cmd_atoms(args) -> int:
     c = _load_complex(args.input)
     if args.gen:
-        gens = [(c.degree_of(parse_name(args.gen)), parse_name(args.gen))]
+        name = _name_arg(args.gen)
+        gens = [(c.degree_of(name), name)]
     else:
         gens = list(c.all_generators())
     payload = []

@@ -29,6 +29,7 @@ from .core import (
     CompositionError,
     MalformedError,
     SteinerlabError,
+    _adopt,
     add_scaled,
     chain_of,
     direct_sum,
@@ -273,7 +274,7 @@ def quotient_by_relations(
         for name, coeff in chain._coeffs.items():
             p = where[name]
             add_scaled(out, images.get(p, {p: 1}), coeff)
-        return Chain(chain.degree, {gens[p]: c for p, c in out.items()})
+        return _adopt(chain.degree, {gens[p]: c for p, c in out.items()})
 
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
@@ -302,8 +303,8 @@ def pushout(f: ComplexMap, g: ComplexMap) -> PushoutResult:
     ambient = direct_sum(f.target, g.target)
     relations = []
     for deg, c in f.source.all_generators():
-        left = Chain(deg, {("l", n): v for n, v in f.of_gen(c)._coeffs.items()})
-        right = Chain(deg, {("r", n): v for n, v in g.of_gen(c)._coeffs.items()})
+        left = _adopt(deg, {("l", n): v for n, v in f.of_gen(c)._coeffs.items()})
+        right = _adopt(deg, {("r", n): v for n, v in g.of_gen(c)._coeffs.items()})
         relations.append(left - right)
     quotient, projection, witness, reason = quotient_by_relations(ambient, relations)
     if quotient is None or projection is None:

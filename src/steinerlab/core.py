@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .names import Name, check_name, name_key, render_name
+from .names import Name, check_depth, check_name, name_depth, name_key, render_name
 
 DEFAULT_MAX_GENERATORS = 100_000
 
@@ -116,7 +116,10 @@ def add_scaled(total: dict, terms: Mapping, scale: int) -> None:
 class Chain:
     """Homogeneous integer chain: a degree and a sparse generator->coefficient map.
 
-    Zero coefficients are never stored.  Chains are immutable.
+    Zero coefficients are never stored.  Chains are immutable.  ``Chain(...)``
+    copies and checks its coefficients; chains the library derives from
+    chains already reduced (sums, multiples, renamings, splits) take their
+    dict as is through :func:`_adopt`.
     """
 
     __slots__ = ("degree", "_coeffs")
@@ -158,7 +161,7 @@ class Chain:
             )
         data = dict(self._coeffs)
         add_scaled(data, other._coeffs, 1)
-        return Chain(self.degree, data)
+        return _adopt(self.degree, data)
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-1) * other
@@ -168,7 +171,7 @@ class Chain:
             return NotImplemented
         if not scalar:
             return Chain(self.degree)
-        return Chain(self.degree, {n: scalar * c for n, c in self._coeffs.items()})
+        return _adopt(self.degree, {n: scalar * c for n, c in self._coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -190,7 +193,23 @@ class Chain:
         return f"<{terms} (deg {self.degree})>"
 
 
+_new_object = object.__new__
+_set_attr = object.__setattr__
+
+
+def _adopt(degree: int, coeffs: dict[Name, int]) -> Chain:
+    """The chain holding ``coeffs`` itself, neither copied nor checked: the
+    caller owns the dict, the degree is valid and every value is a non-zero
+    ``int``."""
+    chain = _new_object(Chain)
+    _set_attr(chain, "degree", degree)
+    _set_attr(chain, "_coeffs", coeffs)
+    return chain
+
+
 def chain_of(degree: int, name: Name, coeff: int = 1) -> Chain:
+    if degree >= 0 and type(coeff) is int and coeff:
+        return _adopt(degree, {name: coeff})
     return Chain(degree, {name: coeff})
 
 
@@ -204,7 +223,7 @@ def _extend_linearly(chain: Chain, images: Mapping[Name, Chain], degree: int) ->
                 f"cannot add chains of degree {degree} and {image.degree}"
             )
         add_scaled(total, image._coeffs, coeff)
-    return Chain(degree, total)
+    return _adopt(degree, total)
 
 
 @dataclass(frozen=True)
@@ -243,6 +262,20 @@ def report(*checks: CheckItem) -> CheckReport:
     return CheckReport(tuple(checks))
 
 
+class _Canonical(tuple):
+    """A basis already in canonical (``name_key``) order, of checked names
+    nested at most ``depth`` levels: :class:`BasedComplex` takes it as it is.
+
+    Constructors whose output order follows from their inputs' orders build
+    their bases this way and refuse ``depth`` before building a name.
+    """
+
+    def __new__(cls, gens: Iterable[Name], depth: int):
+        basis = super().__new__(cls, gens)
+        basis.depth = depth
+        return basis
+
+
 class BasedComplex:
     """Finitely based augmented directed complex.
 
@@ -250,10 +283,13 @@ class BasedComplex:
     ``diff`` gives the differential of every generator of positive degree,
     ``aug`` the augmentation of every degree-zero generator.  Construction
     checks structural well-formedness only; run :func:`validate_complex`
-    for the chain-complex axioms.
+    for the chain-complex axioms.  A basis given as a plain iterable has its
+    names checked and is sorted by ``name_key``; one handed over by a derived
+    constructor (tensor, join, suspension, duals, coproduct) is already in
+    that order and skips both.  Every other check runs either way.
     """
 
-    __slots__ = ("degrees", "diff", "aug", "_gen_degree")
+    __slots__ = ("degrees", "diff", "aug", "_gen_degree", "_depth", "_rank")
 
     def __init__(
         self,
@@ -263,9 +299,18 @@ class BasedComplex:
     ):
         deg_map: dict[int, tuple[Name, ...]] = {}
         gen_degree: dict[Name, int] = {}
-        total = 0
+        total = depth = 0
         for degree in sorted(degrees):
-            gens = sorted((check_name(g) for g in degrees[degree]), key=name_key)
+            basis = degrees[degree]
+            if type(basis) is _Canonical:
+                gens = basis
+                if gens:
+                    depth = max(depth, basis.depth)
+            else:
+                gens = list(basis)
+                for g in gens:
+                    depth = max(depth, name_depth(g))
+                gens.sort(key=name_key)
             if not gens:
                 continue
             if degree < 0:
@@ -300,7 +345,8 @@ class BasedComplex:
         for degree, gens in deg_map.items():
             if degree >= 1:
                 for g in gens:
-                    diff_map.setdefault(g, Chain(degree - 1))
+                    if g not in diff_map:
+                        diff_map[g] = _adopt(degree - 1, {})
         aug_map: dict[Name, int] = {}
         for g in deg_map.get(0, ()):
             value = aug.get(g)
@@ -314,6 +360,8 @@ class BasedComplex:
         object.__setattr__(self, "diff", diff_map)
         object.__setattr__(self, "aug", aug_map)
         object.__setattr__(self, "_gen_degree", gen_degree)
+        object.__setattr__(self, "_depth", depth)
+        object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, *args):  # pragma: no cover - guard
         raise AttributeError("BasedComplex is immutable")
@@ -336,6 +384,15 @@ class BasedComplex:
 
     def has_generator(self, name: Name) -> bool:
         return name in self._gen_degree
+
+    def _ranks(self) -> dict[Name, int]:
+        """Each generator's position in the ``name_key`` order of all
+        generators, every degree together; the dict iterates in that order.
+        Built on first use, once per complex."""
+        if self._rank is None:
+            ordered = sorted(self._gen_degree, key=name_key)
+            object.__setattr__(self, "_rank", {g: i for i, g in enumerate(ordered)})
+        return self._rank
 
     @property
     def top_degree(self) -> int:
@@ -369,7 +426,7 @@ class BasedComplex:
             deg: [table[g] for g in gens] for deg, gens in self.degrees.items()
         }
         diff = {
-            table[g]: Chain(ch.degree, {table[h]: c for h, c in ch._coeffs.items()})
+            table[g]: _adopt(ch.degree, {table[h]: c for h, c in ch._coeffs.items()})
             for g, ch in self.diff.items()
         }
         aug = {table[g]: v for g, v in self.aug.items()}
@@ -403,22 +460,24 @@ class ComplexMap:
         assignment: Mapping[Name, Chain],
     ):
         asg: dict[Name, Chain] = {}
-        for degree, g in source.all_generators():
-            chain = assignment.get(g)
-            if chain is None:
-                raise MalformedError(f"no assignment for generator {render_name(g)}")
-            if chain.degree != degree:
-                raise DegreeMismatchError(
-                    f"assignment of {render_name(g)} has degree {chain.degree},"
-                    f" expected {degree}"
-                )
-            stray = [h for h in chain._coeffs if target._gen_degree.get(h) != degree]
-            if stray:
-                raise MalformedError(
-                    f"assignment of {render_name(g)} references bad target"
-                    f" generator {render_name(min(stray, key=name_key))}"
-                )
-            asg[g] = chain
+        target_degree = target._gen_degree.get
+        for degree, gens in source.degrees.items():  # ascending, as built
+            for g in gens:
+                chain = assignment.get(g)
+                if chain is None:
+                    raise MalformedError(f"no assignment for generator {render_name(g)}")
+                if chain.degree != degree:
+                    raise DegreeMismatchError(
+                        f"assignment of {render_name(g)} has degree {chain.degree},"
+                        f" expected {degree}"
+                    )
+                stray = [h for h in chain._coeffs if target_degree(h) != degree]
+                if stray:
+                    raise MalformedError(
+                        f"assignment of {render_name(g)} references bad target"
+                        f" generator {render_name(min(stray, key=name_key))}"
+                    )
+                asg[g] = chain
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "assignment", asg)
@@ -451,13 +510,20 @@ class ComplexMap:
 
 
 def validate_complex(c: BasedComplex) -> CheckReport:
-    """Check d∘d = 0, ε∘d₁ = 0, and ε ≥ 0 on vertices, with witnesses."""
+    """Check d∘d = 0, ε∘d₁ = 0, and ε ≥ 0 on vertices, with witnesses.
+
+    d(d g) is summed in one dict per generator, in basis order."""
     d2_witness = None
+    diff = c.diff
     for degree in sorted(c.degrees):
         if degree < 2:
             continue
         for g in c.degrees[degree]:
-            if not c.d(c.diff[g]).is_zero():
+            total: dict[Name, int] = {}
+            for h, coeff in diff[g]._coeffs.items():
+                for k, v in diff[h]._coeffs.items():
+                    total[k] = total.get(k, 0) + coeff * v
+            if any(total.values()):
                 d2_witness = render_name(g)
                 break
         if d2_witness:
@@ -523,20 +589,32 @@ def compose(f: ComplexMap, g: ComplexMap) -> ComplexMap:
 
 
 def coproduct(parts: Iterable[tuple[Name, BasedComplex]]) -> BasedComplex:
-    """Degreewise disjoint union of tagged complexes; names become ``(tag, gen)``."""
+    """Degreewise disjoint union of tagged complexes; names become ``(tag, gen)``.
+
+    Each basis is the parts' bases concatenated in tag order, which is name
+    order when the tags of non-empty parts differ."""
+    parts = [(tag, part) for tag, part in parts if part.size]
+    depth = 0
+    for tag, part in parts:
+        depth = max(depth, name_depth((tag,)), 1 + part._depth)
+    check_depth(depth)
+    parts.sort(key=lambda tagged: name_key((tagged[0],)))
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
     aug: dict[Name, int] = {}
     for tag, part in parts:
-        for deg, g in part.all_generators():
-            name = (tag, g)
-            degrees.setdefault(deg, []).append(name)
+        for deg, gens in part.degrees.items():
+            names = [(tag, g) for g in gens]
+            degrees.setdefault(deg, []).extend(names)
             if deg == 0:
-                aug[name] = part.aug[g]
-            else:
-                diff[name] = Chain(
+                aug.update(zip(names, (part.aug[g] for g in gens)))
+                continue
+            for name, g in zip(names, gens):
+                diff[name] = _adopt(
                     deg - 1, {(tag, h): c for h, c in part.diff[g]._coeffs.items()}
                 )
+    if len({tag for tag, _ in parts}) == len(parts):
+        degrees = {deg: _Canonical(gens, depth) for deg, gens in degrees.items()}
     return BasedComplex(degrees, diff, aug)
 
 
@@ -558,7 +636,7 @@ def equal_presentation(a: BasedComplex, b: BasedComplex) -> bool:
         for ga, gb in zip(gens, b.degrees[deg]):
             table[ga] = gb
     for g, ch in a.diff.items():
-        renamed = Chain(ch.degree, {table[h]: c for h, c in ch._coeffs.items()})
+        renamed = _adopt(ch.degree, {table[h]: c for h, c in ch._coeffs.items()})
         if renamed != b.diff[table[g]]:
             return False
     return all(b.aug[table[g]] == v for g, v in a.aug.items())

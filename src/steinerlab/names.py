@@ -26,14 +26,16 @@ _RESERVED = set(".()")
 MAX_NAME_DEPTH = 492
 
 
-def _check_depth(depth: int) -> None:
-    """Refuse a name nested ``depth`` levels deep over the bound, before it is built."""
+def check_depth(depth: int) -> int:
+    """Refuse names nested ``depth`` levels deep over the bound, before they
+    are built; return ``depth``."""
     if depth > MAX_NAME_DEPTH:
         from .core import NameDepthError  # core imports this module first
 
         raise NameDepthError(
             f"name nested {depth} levels deep, past the bound of {MAX_NAME_DEPTH}"
         )
+    return depth
 
 
 def check_name(name: object) -> Name:
@@ -42,16 +44,23 @@ def check_name(name: object) -> Name:
     return name
 
 
-def _check_parts(name: object, depth: int) -> None:
+def name_depth(name: object) -> int:
+    """Validate a name as :func:`check_name` does and return how deep it nests."""
+    return _check_parts(name, 1)
+
+
+def _check_parts(name: object, depth: int) -> int:
     if not isinstance(name, tuple) or not name:
         raise TypeError(f"generator name must be a non-empty tuple, got {name!r}")
-    _check_depth(depth)
+    check_depth(depth)
+    deepest = depth
     for part in name:
         if isinstance(part, str):
             if not part or _RESERVED & set(part):
                 raise TypeError(f"bad name atom {part!r} in {name!r}")
         else:
-            _check_parts(part, depth + 1)
+            deepest = max(deepest, _check_parts(part, depth + 1))
+    return deepest
 
 
 def name_key(name: Name):
@@ -88,7 +97,7 @@ def _parse_parts(text: str, pos: int, depth: int) -> tuple[Name, int]:
         if pos >= n:
             raise ValueError(f"empty name component in {text!r}")
         if text[pos] == "(":
-            _check_depth(depth + 1)
+            check_depth(depth + 1)
             sub, pos = _parse_parts(text, pos + 1, depth + 1)
             if pos >= n or text[pos] != ")":
                 raise ValueError(f"unbalanced parentheses in name {text!r}")

@@ -26,6 +26,8 @@ from .core import (
     BasedComplex,
     Chain,
     ComplexMap,
+    _adopt,
+    _Canonical,
     basis_renaming_map,
     chain_of,
     check_size,
@@ -33,36 +35,52 @@ from .core import (
     coproduct,
     direct_sum,
 )
-from .names import Name
+from .names import Name, check_depth
 
 # -- Gray tensor product -----------------------------------------------------
 
 
+def _paired_depth(a: BasedComplex, b: BasedComplex) -> int:
+    """The depth of names ``(tag, x, y)`` over generators of ``a`` and ``b``,
+    refused over the bound before any is built."""
+    return check_depth(1 + max(a._depth, b._depth))
+
+
+def _ranked(c: BasedComplex) -> list[tuple[int, Name]]:
+    """``(degree, generator)`` in rank order.  Pairs ``(x, y)`` taken in the
+    order of ``(rank x, rank y)`` are in the name order of ``(tag, x, y)``."""
+    return [(c._gen_degree[g], g) for g in c._ranks()]
+
+
 def gray_tensor(a: BasedComplex, b: BasedComplex) -> BasedComplex:
-    """Tensor product with Koszul-signed differential and pair-named basis."""
+    """Tensor product with Koszul-signed differential and pair-named basis.
+
+    Each basis lists its pairs by ``(rank x, rank y)``, already name order.
+    """
     check_size(a.size * b.size)
+    depth = _paired_depth(a, b) if a.size and b.size else 0
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
     aug: dict[Name, int] = {}
-    for da, x in a.all_generators():
-        for db, y in b.all_generators():
+    ranked_b = _ranked(b)
+    for da, x in _ranked(a):
+        dx = a.diff[x]._coeffs if da else {}
+        sign = -1 if da % 2 else 1
+        for db, y in ranked_b:
             name = ("t", x, y)
             degree = da + db
             degrees.setdefault(degree, []).append(name)
             if degree == 0:
                 aug[name] = a.aug[x] * b.aug[y]
-            else:
-                terms: dict[Name, int] = {}
-                if da:
-                    for xp, c in a.diff[x].items():
-                        terms[("t", xp, y)] = c
-                if db:
-                    sign = -1 if da % 2 else 1
-                    for yp, c in b.diff[y].items():
-                        key = ("t", x, yp)
-                        terms[key] = terms.get(key, 0) + sign * c
-                diff[name] = Chain(degree - 1, terms)
-    return BasedComplex(degrees, diff, aug)
+                continue
+            # The two sums have different first factors, so no term cancels.
+            terms = {("t", xp, y): c for xp, c in dx.items()}
+            if db:
+                for yp, c in b.diff[y]._coeffs.items():
+                    terms[("t", x, yp)] = sign * c
+            diff[name] = _adopt(degree - 1, terms)
+    canonical = {deg: _Canonical(gens, depth) for deg, gens in degrees.items()}
+    return BasedComplex(canonical, diff, aug)
 
 
 def gray_tensor_map(f: ComplexMap, g: ComplexMap) -> ComplexMap:
@@ -72,12 +90,13 @@ def gray_tensor_map(f: ComplexMap, g: ComplexMap) -> ComplexMap:
     assignment: dict[Name, Chain] = {}
     for degree, gen in source.all_generators():
         _, x, y = gen
-        terms: dict[Name, int] = {}
-        for xp, c in f.of_gen(x).items():
-            for yp, e in g.of_gen(y).items():
-                key = ("t", xp, yp)
-                terms[key] = terms.get(key, 0) + c * e
-        assignment[gen] = Chain(degree, terms)
+        gy = g.of_gen(y)._coeffs
+        terms = {
+            ("t", xp, yp): c * e
+            for xp, c in f.of_gen(x)._coeffs.items()
+            for yp, e in gy.items()
+        }
+        assignment[gen] = _adopt(degree, terms)
     return ComplexMap(source, target, assignment)
 
 
@@ -85,10 +104,12 @@ def gray_tensor_map(f: ComplexMap, g: ComplexMap) -> ComplexMap:
 
 
 def _rescaled(a: BasedComplex, sign_of_degree) -> BasedComplex:
+    """``a`` with its differentials rescaled, on ``a``'s own bases."""
     diff = {
         g: sign_of_degree(chain.degree + 1) * chain for g, chain in a.diff.items()
     }
-    return BasedComplex(a.degrees, diff, a.aug)
+    bases = {deg: _Canonical(gens, a._depth) for deg, gens in a.degrees.items()}
+    return BasedComplex(bases, diff, a.aug)
 
 
 def dual_op(a: BasedComplex) -> BasedComplex:
@@ -220,28 +241,35 @@ def join(a: BasedComplex, b: BasedComplex) -> BasedComplex:
     ``A`` is ``j.(dx).y``, or ``eps(x) jr.y`` when ``x`` is a vertex, and ``B``
     is ``j.x.(dy)``, or ``eps(y) jl.x`` when ``y`` is a vertex.
     :func:`join_pushout` is its oracle: its survivors sort in the same order.
+    Each basis is its ``j`` pairs by ``(rank x, rank y)``, then its ``jl``
+    and ``jr`` parts (``j`` < ``jl`` < ``jr``): already name order.
     """
     check_size(a.size + b.size + a.size * b.size)
+    depth = _paired_depth(a, b) if a.size or b.size else 0
     outer = coproduct([("jl", a), ("jr", b)])
-    degrees = {deg: list(gens) for deg, gens in outer.degrees.items()}
+    degrees: dict[int, list[Name]] = {}
     diff = dict(outer.diff)
-    for da, x in a.all_generators():
-        dx = a.diff[x].items() if da else []
+    ranked_b = _ranked(b)
+    for da, x in _ranked(a):
+        dx = a.diff[x]._coeffs if da else None
         sign = 1 if da % 2 else -1
-        for db, y in b.all_generators():
-            if da:
-                terms = {("j", xp, y): c for xp, c in dx}
+        for db, y in ranked_b:
+            if dx is not None:
+                terms = {("j", xp, y): c for xp, c in dx.items()}
             else:
-                terms = {("jr", y): a.aug[x]}
+                terms = {("jr", y): a.aug[x]} if a.aug[x] else {}
             if db:
-                for yp, c in b.diff[y].items():
+                for yp, c in b.diff[y]._coeffs.items():
                     terms[("j", x, yp)] = sign * c
-            else:
+            elif b.aug[y]:
                 terms[("jl", x)] = sign * b.aug[y]
             name = ("j", x, y)
             degrees.setdefault(da + db + 1, []).append(name)
-            diff[name] = Chain(da + db, terms)
-    return BasedComplex(degrees, diff, outer.aug)
+            diff[name] = _adopt(da + db, terms)
+    for deg, gens in outer.degrees.items():
+        degrees.setdefault(deg, []).extend(gens)
+    canonical = {deg: _Canonical(gens, depth) for deg, gens in degrees.items()}
+    return BasedComplex(canonical, diff, outer.aug)
 
 
 def antijoin(a: BasedComplex, b: BasedComplex) -> BasedComplex:
@@ -270,18 +298,23 @@ def suspension(a: BasedComplex) -> BasedComplex:
 
     ``d(s.x) = s.(dx)`` in degrees above one and ``eps(x) * (b1 - b0)`` on
     shifted vertices; this is the closed form of the quotient of the cylinder
-    that collapses each end to a pole.
+    that collapses each end to a pole.  Each basis keeps the order of
+    ``a``'s, with the poles (``b0`` < ``b1`` < ``s``) in degree zero.
     """
-    degrees: dict[int, list[Name]] = {0: [("b0",), ("b1",)]}
+    depth = check_depth(1 + a._depth)
+    degrees = {0: _Canonical((("b0",), ("b1",)), depth)}
     diff: dict[Name, Chain] = {}
     aug = {("b0",): 1, ("b1",): 1}
-    for deg, x in a.all_generators():
-        name = ("s", x)
-        degrees.setdefault(deg + 1, []).append(name)
-        if deg == 0:
-            diff[name] = Chain(0, {("b1",): a.aug[x], ("b0",): -a.aug[x]})
-        else:
-            diff[name] = Chain(deg, {("s", xp): c for xp, c in a.diff[x].items()})
+    for deg, gens in a.degrees.items():
+        names = [("s", x) for x in gens]
+        degrees[deg + 1] = _Canonical(names, depth)
+        for name, x in zip(names, gens):
+            if deg == 0:
+                diff[name] = Chain(0, {("b1",): a.aug[x], ("b0",): -a.aug[x]})
+            else:
+                diff[name] = _adopt(
+                    deg, {("s", xp): c for xp, c in a.diff[x]._coeffs.items()}
+                )
     return BasedComplex(degrees, diff, aug)
 
 
@@ -294,8 +327,8 @@ def suspension_map(f: ComplexMap) -> ComplexMap:
         ("b1",): chain_of(0, ("b1",)),
     }
     for deg, x in f.source.all_generators():
-        assignment[("s", x)] = Chain(
-            deg + 1, {("s", y): c for y, c in f.of_gen(x).items()}
+        assignment[("s", x)] = _adopt(
+            deg + 1, {("s", y): c for y, c in f.of_gen(x)._coeffs.items()}
         )
     return ComplexMap(source, target, assignment)
 

@@ -29,6 +29,7 @@ from .core import (
     MalformedError,
     NameDepthError,
     SteinerlabError,
+    _adopt,
     basis_renaming_map,
     chain_of,
     check_size,
@@ -112,23 +113,36 @@ def _check_disk_dims(n: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+_DISKS: dict[int, BasedComplex] = {}
+_BOUNDARY_DISKS: dict[int, BasedComplex] = {}
+
+
+def _iterated_suspension(n: int, built: dict[int, BasedComplex], base, level) -> BasedComplex:
+    """Level ``n`` of the tower ``base(), S base(), S S base(), ...``.
+
+    ``built`` holds the levels made so far, ``0 .. len(built) - 1``; the
+    missing ones are made bottom-up.  Level ``k`` suspends ``level(k - 1)``,
+    the public builder, which has just stored it: a lookup, not a recursion,
+    so a disk of any dimension takes the same few frames, while each level
+    made is still one call of the public builder, as it was when it recursed.
+    ``setdefault`` keeps the first of two threads' copies of a level.
+    """
+    for k in range(len(built), n + 1):
+        built.setdefault(k, suspension(level(k - 1)) if k else base())
+    return built[n]
+
+
 def disk(n: int) -> BasedComplex:
     """The n-disk: one generator on top, a source/target pair below."""
     _check_disk_dims(n)
-    if n == 0:
-        return unit()
-    return suspension(disk(n - 1))
+    return _iterated_suspension(n, _DISKS, unit, disk)
 
 
-@lru_cache(maxsize=None)
 def boundary_disk(n: int) -> BasedComplex:
     """The boundary of the n-disk: the iterated suspension of the empty
     complex, with a source/target pair in degrees below n."""
     _check_disk_dims(n)
-    if n == 0:
-        return zero()
-    return suspension(boundary_disk(n - 1))
+    return _iterated_suspension(n, _BOUNDARY_DISKS, zero, boundary_disk)
 
 
 def disk_inclusion(j: int, i: int, side: str) -> ComplexMap:
@@ -328,7 +342,7 @@ def wedge_with_legs(
             leg.source,
             renamed,
             {
-                x: Chain(deg, {table[h]: c for h, c in leg.of_gen(x).items()})
+                x: _adopt(deg, {table[h]: c for h, c in leg.of_gen(x)._coeffs.items()})
                 for deg, x in leg.source.all_generators()
             },
         )

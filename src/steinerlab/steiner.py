@@ -23,6 +23,7 @@ from .core import (
     CheckReport,
     DegreeMismatchError,
     SteinerlabError,
+    _adopt,
     chain_of,
     report,
     validate_complex,
@@ -47,7 +48,7 @@ def pos_neg_parts(c: BasedComplex, x: Chain) -> tuple[Chain, Chain]:
     """
     if x.degree == 0:
         raise DegreeMismatchError("no parts in degree 0", code="DEGREE_ZERO")
-    return tuple(Chain(x.degree - 1, part) for part in _split(c.d(x)._coeffs))
+    return tuple(_adopt(x.degree - 1, part) for part in _split(c.d(x)._coeffs))
 
 
 def atom_table(c: BasedComplex, b: Name) -> CellTable:
@@ -60,8 +61,8 @@ def atom_table(c: BasedComplex, b: Name) -> CellTable:
         plus_parts = _split(c.d(plus[-1])._coeffs)
         # The top entries are one chain: split it once for both sides.
         minus_parts = plus_parts if minus[-1] is plus[-1] else _split(c.d(minus[-1])._coeffs)
-        plus.append(Chain(k - 1, plus_parts[0]))
-        minus.append(Chain(k - 1, minus_parts[1]))
+        plus.append(_adopt(k - 1, plus_parts[0]))
+        minus.append(_adopt(k - 1, minus_parts[1]))
         if not (plus[-1].is_nonnegative() and minus[-1].is_nonnegative()):
             raise NegativeEntryError(
                 f"atom of {render_name(b)} leaves the natural span at level {k - 1}"
@@ -128,8 +129,8 @@ def is_strongly_loopfree(c: BasedComplex) -> CheckReport:
     rel = _preorder(c, list)  # edge order cannot change the result
     succ = rel.successors()
     indegree = Counter(b for _, b in rel.edges)
-    by_rank = sorted(rel.elements, key=name_key)
-    rank = {g: i for i, g in enumerate(by_rank)}
+    rank = c._ranks()
+    by_rank = list(rank)
     ready = [i for i, g in enumerate(by_rank) if not indegree[g]]  # sorted: a heap
     order: list[Name] = []
     while ready:

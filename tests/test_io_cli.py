@@ -382,6 +382,27 @@ def test_cli_refuses_names_past_the_depth_bound(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error [NAME_DEPTH]: disk dimension 1200 ")
 
 
+@pytest.mark.parametrize(
+    "argv, good",
+    [
+        (["atoms", "cube:2", "--gen", "{}"], "ii"),
+        (["gen", "wedge", "disk:1", "{}", "disk:1", "b0"], "b1"),
+    ],
+    ids=["atoms --gen", "gen wedge"],
+)
+def test_cli_name_arguments(argv, good, capsys):
+    """A malformed name argument is a usage error; an over-deep one keeps its code."""
+    assert main([a.format("a.(") for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: bad generator name 'a.(': ")
+    deep = "(" * 600 + "a" + ")" * 600
+    assert main([a.format(deep) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [NAME_DEPTH]: name nested 493 levels deep")
+    assert main([a.format(good) for a in argv]) == 0
+    capsys.readouterr()
+
+
 def test_cli_stdout_does_not_depend_on_hash_seed():
     """Set iteration order follows the hash seed; no stdout byte may."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

@@ -34,7 +34,7 @@ from steinerlab import (
     zero,
 )
 from steinerlab.names import MAX_NAME_DEPTH
-from steinerlab.shapes import EmptyComplexError
+from steinerlab.shapes import EmptyComplexError, disk_top_gen
 from steinerlab.steiner import is_steiner
 
 
@@ -207,3 +207,48 @@ def test_top_cell_decomposition_small():
             f"{family}:{n}:INDUCED_ISO",
             f"{family}:{n}:EQUALS_SHAPE",
         ]
+
+
+def test_disks_build_deep_in_the_stack():
+    """Disks iterate suspensions in a loop: a few frames at any dimension,
+    so a caller 300 frames short of the recursion limit builds a 200-disk."""
+    import inspect
+    import sys
+
+    def descend(k):
+        return descend(k - 1) if k else disk(200)
+
+    top = descend(sys.getrecursionlimit() - len(inspect.stack(0)) - 300)
+    assert graded_counts(top) == {**{k: 2 for k in range(200)}, 200: 1}
+    assert top.generators(200) == (disk_top_gen(200),)
+
+
+def test_disks_built_from_threads_at_once(monkeypatch):
+    """Threads building one tower together leave each level once, in place."""
+    import sys
+    import threading
+
+    from steinerlab import shapes
+
+    monkeypatch.setattr(shapes, "_DISKS", {})
+    results = []
+
+    def work():
+        for n in range(0, 30, 2):
+            results.append((n, disk(n)))
+
+    interval_before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval_before)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 6 * 15
+    assert all(graded_counts(c) == graded_counts(disk(n)) and c.top_degree == n
+               for n, c in results)
+    assert sorted(shapes._DISKS) == list(range(29))
