@@ -123,7 +123,6 @@ from .shapes import (
     wedge_with_legs,
 )
 from .steiner import (
-    NegativeEntryError,
     PreorderRelation,
     atom_table,
     is_steiner,

@@ -203,9 +203,7 @@ def criterion_counts() -> CheckReport:
 def criterion_join_oracles() -> CheckReport:
     items: list[CheckItem] = []
     for n in range(7):
-        ok = oriental_via_join(n) == oriental(n) and equal_presentation(
-            oriental_via_join(n), oriental(n)
-        )
+        ok = oriental_via_join(n) == oriental(n)
         items.append(CheckItem(f"oriental_via_join({n})", ok))
     cases = [(f"disk({k})", disk(k)) for k in range(4)]
     cases += [(f"oriental({k})", oriental(k)) for k in range(4)]

@@ -129,7 +129,7 @@ class Chain:
             raise MalformedError(f"chain degree must be >= 0, got {degree}")
         data: dict[Name, int] = {}
         for name, coeff in (coeffs or {}).items():
-            if not isinstance(coeff, int):
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise MalformedError(f"non-integer coefficient {coeff!r} on {name!r}")
             if coeff:
                 data[name] = coeff
@@ -350,8 +350,12 @@ class BasedComplex:
         aug_map: dict[Name, int] = {}
         for g in deg_map.get(0, ()):
             value = aug.get(g)
-            if value is None or not isinstance(value, int):
+            if value is None:
                 raise MalformedError(f"missing augmentation for {render_name(g)}")
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise MalformedError(
+                    f"non-integer augmentation {value!r} on {render_name(g)}"
+                )
             aug_map[g] = value
         for g in aug:
             if gen_degree.get(g) != 0:

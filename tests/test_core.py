@@ -89,6 +89,19 @@ def test_malformed_differential_rejected():
         )
 
 
+def test_bool_coefficients_and_augmentations_rejected():
+    # bool is an int subclass that would emit as "True", which parse refuses
+    a, b, e = ("a",), ("b",), ("e",)
+    with pytest.raises(MalformedError, match="non-integer coefficient True"):
+        Chain(0, {b: True, a: -1})
+    with pytest.raises(MalformedError, match="non-integer coefficient False"):
+        chain_of(0, a, False)
+    with pytest.raises(MalformedError, match="non-integer augmentation True"):
+        BasedComplex({0: [a, b], 1: [e]}, {e: Chain(0, {b: 1, a: -1})}, {a: True, b: 1})
+    with pytest.raises(MalformedError, match="non-integer augmentation '1'"):
+        BasedComplex({0: [a]}, {}, {a: "1"})
+
+
 def test_validate_map_identity_and_negative():
     assert validate_map(identity_map(cube(2))).passed
     assert validate_map(s2()).passed

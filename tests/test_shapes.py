@@ -24,6 +24,7 @@ from steinerlab import (
     oriental,
     oriental_via_join,
     random_theta_spec,
+    suspension,
     theta,
     top_cell_decomposition_check,
     truncate_top,
@@ -53,6 +54,23 @@ def test_disk_family():
         assert boundary_disk(n) == truncate_top(disk(n))
     with pytest.raises(BadDimsError):
         disk(-1)
+
+
+def _suspension_tower(base, n):
+    """``base``, its suspension, ..., its n-fold suspension: the iterated
+    construction the closed-form disks are checked against."""
+    tower = [base]
+    for _ in range(n):
+        tower.append(suspension(tower[-1]))
+    return tower
+
+
+def test_disks_match_the_suspension_tower():
+    disks, boundaries = _suspension_tower(unit(), 59), _suspension_tower(zero(), 59)
+    for n in range(60):
+        assert disk(n) == disks[n] and disk(n)._depth == disks[n]._depth
+        assert boundary_disk(n) == boundaries[n]
+        assert boundary_disk(n)._depth == boundaries[n]._depth
 
 
 def test_disks_past_the_name_depth_bound_are_refused_before_recursing():
@@ -223,14 +241,13 @@ def test_disks_build_deep_in_the_stack():
     assert top.generators(200) == (disk_top_gen(200),)
 
 
-def test_disks_built_from_threads_at_once(monkeypatch):
-    """Threads building one tower together leave each level once, in place."""
+def test_disks_built_from_threads_at_once():
+    """Threads building disks together from an empty memo each get the disk
+    of the suspension tower, and the memo then keeps one disk per dimension."""
     import sys
     import threading
 
-    from steinerlab import shapes
-
-    monkeypatch.setattr(shapes, "_DISKS", {})
+    disk.cache_clear()
     results = []
 
     def work():
@@ -251,4 +268,6 @@ def test_disks_built_from_threads_at_once(monkeypatch):
     assert len(results) == 6 * 15
     assert all(graded_counts(c) == graded_counts(disk(n)) and c.top_degree == n
                for n, c in results)
-    assert sorted(shapes._DISKS) == list(range(29))
+    tower = _suspension_tower(unit(), 28)
+    assert all(c == tower[n] for n, c in results)
+    assert all(disk(n) is disk(n) for n in range(0, 30, 2))
