@@ -9,14 +9,14 @@ Composition along a level is pointwise addition above the glue level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     BasedComplex,
     Chain,
     CheckItem,
     CheckReport,
     SteinerlabError,
+    _Record,
+    _set_field,
     report,
 )
 
@@ -33,19 +33,25 @@ class InvalidResultError(SteinerlabError):
     code = "INVALID_RESULT"
 
 
-@dataclass(frozen=True)
-class CellTable:
-    ambient: BasedComplex
-    dim: int
-    minus: tuple[Chain, ...]
-    plus: tuple[Chain, ...]
+class CellTable(_Record):
+    __slots__ = ("ambient", "dim", "minus", "plus")
 
-    def __post_init__(self):
-        if self.dim < 0 or len(self.minus) != self.dim + 1 or len(self.plus) != self.dim + 1:
+    def __init__(
+        self,
+        ambient: BasedComplex,
+        dim: int,
+        minus: tuple[Chain, ...],
+        plus: tuple[Chain, ...],
+    ):
+        if dim < 0 or len(minus) != dim + 1 or len(plus) != dim + 1:
             raise BadLevelError("table entries must cover levels 0..dim")
-        for k in range(self.dim + 1):
-            if self.minus[k].degree != k or self.plus[k].degree != k:
+        for k in range(dim + 1):
+            if minus[k].degree != k or plus[k].degree != k:
                 raise BadLevelError(f"level-{k} entry has the wrong degree")
+        _set_field(self, "ambient", ambient)
+        _set_field(self, "dim", dim)
+        _set_field(self, "minus", minus)
+        _set_field(self, "plus", plus)
 
     def __repr__(self) -> str:
         return f"<CellTable dim {self.dim} over {self.ambient!r}>"

@@ -5,6 +5,10 @@ Subcommands: ``gen`` (emit a shape), ``op`` (apply an operation), ``info``,
 ``suite`` (the full acceptance battery).  Exit codes: 0 pass, 1 verified
 failure, 2 usage or input error.  Stdout is deterministic; timing and
 diagnostics go to stderr.  ``--json`` switches reports to JSON.
+
+Each handler imports the library modules it uses, so one call loads only
+those: ``gen cube 2`` loads ``core``, ``names``, ``basic``, ``shapes`` and
+``io``, and only ``suite`` and ``check identities`` load ``acceptance``.
 """
 
 from __future__ import annotations
@@ -14,52 +18,12 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import acceptance
-from .basic import interval, unit, zero
-from .core import (
-    BasedComplex,
-    CheckReport,
-    NameDepthError,
-    SteinerlabError,
-    graded_counts,
-    validate_complex,
-)
-from .io import _chain_terms, emit, parse
-from .names import Name, parse_name, render_name
-from .ops import (
-    antijoin,
-    antisuspension,
-    dual_co,
-    dual_coop,
-    dual_op,
-    gray_tensor,
-    join,
-    suspension,
-)
-from .retract import (
-    RetractionPair,
-    section_ell,
-    section_q_cube,
-    section_xi,
-    theta_left_inverse,
-    theta_retract_into_oriental,
-    zeta,
-)
-from .shapes import (
-    ThetaSpec,
-    antioriental,
-    boundary_decomposition_check,
-    boundary_disk,
-    cube,
-    disk,
-    oriental,
-    theta,
-    top_cell_decomposition_check,
-    wedge,
-)
-from .steiner import atom_table, is_steiner
+if TYPE_CHECKING:
+    from .core import BasedComplex, CheckReport
+    from .names import Name
+    from .shapes import ThetaSpec
 
 
 class UsageError(Exception):
@@ -69,6 +33,8 @@ class UsageError(Exception):
 def _shape_builders() -> dict:
     """The one-dimension shape families, by CLI name.  Built per call so that
     the current module attributes are looked up."""
+    from .shapes import antioriental, boundary_disk, cube, disk, oriental
+
     return {
         "disk": disk,
         "boundary-disk": boundary_disk,
@@ -79,9 +45,10 @@ def _shape_builders() -> dict:
 
 
 def _parse_shape_ref(text: str) -> Optional[BasedComplex]:
-    plain = {"unit": unit, "zero": zero, "interval": interval}
-    if text in plain:
-        return plain[text]()
+    if text in ("unit", "zero", "interval"):
+        from . import basic
+
+        return getattr(basic, text)()
     if ":" in text:
         kind, _, arg = text.partition(":")
         builders = _shape_builders()
@@ -105,6 +72,9 @@ def _load_complex(ref: str) -> BasedComplex:
         if not path.exists():
             raise UsageError(f"no such file or shape reference: {ref}")
         text = path.read_text()
+    from .core import BasedComplex
+    from .io import parse
+
     value = parse(text)
     if not isinstance(value, BasedComplex):
         raise UsageError(f"{ref} does not contain a complex document")
@@ -121,6 +91,9 @@ def _write_output(text: str, out: Optional[str]) -> None:
 def _name_arg(text: str) -> Name:
     """A generator name given on the command line; bad text is a usage error,
     and an over-deep name keeps its ``NAME_DEPTH`` code."""
+    from .core import NameDepthError
+    from .names import parse_name
+
     try:
         return parse_name(text)
     except NameDepthError:
@@ -162,6 +135,8 @@ def _parse_sides(text: str) -> tuple[tuple[str, str], ...]:
 def _theta_spec(dims_text: str, args) -> ThetaSpec:
     """A theta spec from a dims list and the ``--glue``/``--sides`` options;
     sides default to target-into-left, source-into-right."""
+    from .shapes import ThetaSpec
+
     dims = _parse_csv_ints(dims_text, "dims")
     glue = _parse_csv_ints(args.glue, "glue")
     if args.sides:
@@ -192,6 +167,9 @@ def _print_report(report: CheckReport, as_json: bool) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .io import emit
+    from .shapes import theta, wedge
+
     kind = args.shape
     builders = _shape_builders()
     if kind in builders:
@@ -216,6 +194,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_op(args) -> int:
+    from .io import emit
+    from .ops import (
+        antijoin,
+        antisuspension,
+        dual_co,
+        dual_coop,
+        dual_op,
+        gray_tensor,
+        join,
+        suspension,
+    )
+
     op = args.operation
     binary = {"tensor": gray_tensor, "join": join, "antijoin": antijoin}
     unary = {
@@ -240,6 +230,8 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from .core import graded_counts, validate_complex
+
     c = _load_complex(args.input)
     counts = graded_counts(c)
     check = validate_complex(c)
@@ -266,6 +258,10 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_atoms(args) -> int:
+    from .io import _chain_terms
+    from .names import render_name
+    from .steiner import atom_table
+
     c = _load_complex(args.input)
     if args.gen:
         name = _name_arg(args.gen)
@@ -300,12 +296,16 @@ def _cmd_atoms(args) -> int:
 def _cmd_check(args) -> int:
     which = args.suite
     if which == "steiner":
+        from .steiner import is_steiner
+
         if len(args.params) != 1:
             raise UsageError("check steiner takes one complex input")
         report = is_steiner(_load_complex(args.params[0]))
     elif which in ("boundary-decomp", "top-cell"):
         if len(args.params) != 2 or args.params[0] not in ("cube", "oriental"):
             raise UsageError(f"check {which} takes: <cube|oriental> <n>")
+        from .shapes import boundary_decomposition_check, top_cell_decomposition_check
+
         n = _ints(args.params[1:], "dimension")[0]
         fn = (
             boundary_decomposition_check
@@ -314,6 +314,8 @@ def _cmd_check(args) -> int:
         )
         report = fn(args.params[0], n)
     elif which == "identities":
+        from . import acceptance
+
         report = acceptance.criterion_dualities()
     else:
         raise UsageError(f"unknown check suite {which!r}")
@@ -321,6 +323,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_verify_retract(args) -> int:
+    from .retract import (
+        RetractionPair,
+        section_ell,
+        section_q_cube,
+        section_xi,
+        theta_left_inverse,
+        theta_retract_into_oriental,
+        zeta,
+    )
+
     kind = args.kind
     sections = {"xi": section_xi, "q-cube": section_q_cube, "ell": section_ell}
     if kind in sections:
@@ -343,6 +355,8 @@ def _cmd_verify_retract(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from . import acceptance
+
     t0 = time.time()
     results = acceptance.run_all()
     all_passed = all(rep.passed for _, rep in results)
@@ -427,6 +441,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    from .core import SteinerlabError
+
     try:
         return args.fn(args)
     except UsageError as exc:

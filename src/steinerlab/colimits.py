@@ -18,7 +18,6 @@ by basis position, and chains compare as dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
@@ -30,6 +29,8 @@ from .core import (
     MalformedError,
     SteinerlabError,
     _adopt,
+    _Record,
+    _set_field,
     add_scaled,
     chain_of,
     direct_sum,
@@ -41,8 +42,7 @@ class NonBasedPushoutError(SteinerlabError):
     code = "NON_BASED_PUSHOUT"
 
 
-@dataclass(frozen=True)
-class PushoutResult:
+class PushoutResult(_Record):
     """Computed colimit with diagnostics.
 
     When ``based`` is true, ``complex`` is the colimit presentation and
@@ -52,12 +52,23 @@ class PushoutResult:
     and ``reason`` describes the failure either way.
     """
 
-    complex: Optional[BasedComplex]
-    leg_a: Optional[ComplexMap]
-    leg_b: Optional[ComplexMap]
-    based: bool
-    torsion_witness: Optional[tuple[int, int]] = None
-    reason: Optional[str] = None
+    __slots__ = ("complex", "leg_a", "leg_b", "based", "torsion_witness", "reason")
+
+    def __init__(
+        self,
+        complex: Optional[BasedComplex],
+        leg_a: Optional[ComplexMap],
+        leg_b: Optional[ComplexMap],
+        based: bool,
+        torsion_witness: Optional[tuple[int, int]] = None,
+        reason: Optional[str] = None,
+    ):
+        _set_field(self, "complex", complex)
+        _set_field(self, "leg_a", leg_a)
+        _set_field(self, "leg_b", leg_b)
+        _set_field(self, "based", based)
+        _set_field(self, "torsion_witness", torsion_witness)
+        _set_field(self, "reason", reason)
 
     def require_based(self) -> BasedComplex:
         if not self.based or self.complex is None:

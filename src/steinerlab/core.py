@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .names import Name, check_depth, check_name, name_depth, name_key, render_name
@@ -226,18 +226,66 @@ def _extend_linearly(chain: Chain, images: Mapping[Name, Chain], degree: int) ->
     return _adopt(degree, total)
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    passed: bool
-    witness: Optional[str] = None
+_set_field = object.__setattr__
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class _Record:
+    """An immutable record over ``__slots__``, the fields in slot order.
+
+    A subclass lists its fields in ``__slots__`` and sets each once in its
+    ``__init__`` with ``_set_field``.  Two records are equal when they are of
+    one class and their fields are equal; hash and repr follow the fields, and
+    assigning or deleting a field raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # ``record._values(record)``: its fields as one tuple, in slot order
+        cls._values = staticmethod(
+            get if len(cls.__slots__) > 1 else lambda record: (get(record),)
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CheckItem(_Record):
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: Optional[str] = None):
+        _set_field(self, "name", name)
+        _set_field(self, "passed", passed)
+        _set_field(self, "witness", witness)
+
+
+class CheckReport(_Record):
     """Outcome of a verification suite; ``passed`` iff every item passed."""
 
-    checks: tuple[CheckItem, ...]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CheckItem, ...]):
+        _set_field(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

@@ -9,7 +9,6 @@ recursions memoize by dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .basic import interval, unit
@@ -20,6 +19,8 @@ from .core import (
     CheckReport,
     ComplexMap,
     SteinerlabError,
+    _Record,
+    _set_field,
     basis_renaming_map,
     chain_of,
     compose,
@@ -42,19 +43,29 @@ from .ops import (
     suspension_map,
     swap_iso_op,
 )
-from .shapes import ThetaSpec, _cube_word, _right_cone_name, cube, oriental, wedge_with_legs
+from .shapes import (
+    BadDimsError,
+    ThetaSpec,
+    _cube_word,
+    _right_cone_name,
+    cube,
+    oriental,
+    wedge_with_legs,
+)
 
 
 class UnsupportedSpecError(SteinerlabError):
     code = "UNSUPPORTED_SPEC"
 
 
-@dataclass(frozen=True)
-class RetractionPair:
+class RetractionPair(_Record):
     """A split inclusion: ``retract`` after ``embed`` is the identity."""
 
-    embed: ComplexMap
-    retract: ComplexMap
+    __slots__ = ("embed", "retract")
+
+    def __init__(self, embed: ComplexMap, retract: ComplexMap):
+        _set_field(self, "embed", embed)
+        _set_field(self, "retract", retract)
 
     def verify(self) -> CheckReport:
         round_trip = compose(self.embed, self.retract) == identity_map(
@@ -68,6 +79,12 @@ class RetractionPair:
             CheckItem("COMPOSITE_IDENTITY", round_trip),
             CheckItem("SPLITTING_IDEMPOTENT", idem_ok),
         )
+
+
+def _check_dim(what: str, n: int) -> None:
+    """Refuse a negative dimension before a recursion on ``n`` starts."""
+    if n < 0:
+        raise BadDimsError(f"{what} dimension must be >= 0, got {n}")
 
 
 # -- small renaming isomorphisms ----------------------------------------------
@@ -266,6 +283,7 @@ def p_oriental(n: int) -> ComplexMap:
 def xi(n: int) -> ComplexMap:
     """The comparison ``cube(n) -> oriental(n)``, inductively the quotient of
     the previous comparison tensored with the interval."""
+    _check_dim("xi", n)
     if n == 0:
         return basis_renaming_map(cube(0), oriental(0), lambda g: ("0",))
     step = gray_tensor_map(xi(n - 1), identity_map(interval()))
@@ -369,6 +387,7 @@ def _double_cone_renaming(n: int) -> ComplexMap:
 @lru_cache(maxsize=None)
 def section_xi(n: int) -> RetractionPair:
     """Embed the oriental into the cube as a retract of :func:`xi`."""
+    _check_dim("xi", n)
     if n == 0:
         embed = basis_renaming_map(oriental(0), cube(0), lambda g: ("u",))
     else:
@@ -401,6 +420,7 @@ def ell_oriental(n: int) -> ComplexMap:
 @lru_cache(maxsize=None)
 def section_ell(n: int) -> RetractionPair:
     """Section of :func:`ell_oriental` composed out of the cube sections."""
+    _check_dim("ell", n)
     lift = suspension_map(section_xi(n).embed)
     embed = compose(compose(lift, section_q_cube(n).embed), xi(n + 1))
     return RetractionPair(embed, ell_oriental(n))

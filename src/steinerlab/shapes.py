@@ -11,17 +11,10 @@ iterated join.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .basic import interval, unit, zero
-from .colimits import (
-    PushoutResult,
-    coequalizer,
-    induced_from_coequalizer,
-    induced_from_pushout,
-    pushout,
-)
 from .core import (
     BasedComplex,
     Chain,
@@ -32,7 +25,9 @@ from .core import (
     NameDepthError,
     SteinerlabError,
     _Canonical,
+    _Record,
     _adopt,
+    _set_field,
     basis_renaming_map,
     chain_of,
     check_size,
@@ -46,8 +41,11 @@ from .core import (
     validate_map,
 )
 from .names import MAX_NAME_DEPTH, Name
-from .ops import dual_co, join, suspension
-from .steiner import atom_table
+
+# The seven functions that use ``ops``, ``colimits`` or ``steiner`` import
+# them where they run, so that building a cube, oriental or disk loads none.
+if TYPE_CHECKING:
+    from .colimits import PushoutResult
 
 __all__ = [
     "unit",
@@ -244,6 +242,8 @@ def oriental_via_join(n: int) -> BasedComplex:
     not from face sums, which makes this an independent oracle for
     :func:`oriental`.
     """
+    from .ops import join
+
     if n < 0:
         raise BadDimsError(f"oriental dimension must be >= 0, got {n}")
     current = BasedComplex({0: [("0",)]}, {}, {("0",): 1})
@@ -265,35 +265,44 @@ def _right_cone_name(g: Name, k: int) -> Name:
 @lru_cache(maxsize=None)
 def antioriental(n: int) -> BasedComplex:
     """The co-dual of the n-oriental."""
+    from .ops import dual_co
+
     return dual_co(oriental(n))
 
 
 # -- thetas and wedges -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaSpec:
+class ThetaSpec(_Record):
     """An iterated gluing of disks: ``dims[l]``-disks glued along
     ``glue[l]``-disks, each included on the indicated sides."""
 
-    dims: tuple[int, ...]
-    glue: tuple[int, ...] = ()
-    sides: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("dims", "glue", "sides")
 
-    def __post_init__(self):
-        if not self.dims:
+    def __init__(
+        self,
+        dims: tuple[int, ...],
+        glue: tuple[int, ...] = (),
+        sides: tuple[tuple[str, str], ...] = (),
+    ):
+        if not dims:
             raise BadDimsError("theta spec needs at least one disk")
-        if len(self.glue) != len(self.dims) - 1 or len(self.sides) != len(self.glue):
+        if len(glue) != len(dims) - 1 or len(sides) != len(glue):
             raise BadDimsError("theta spec length mismatch")
-        for pos, j in enumerate(self.glue):
-            if j < 0 or j > min(self.dims[pos], self.dims[pos + 1]):
+        for pos, j in enumerate(glue):
+            if j < 0 or j > min(dims[pos], dims[pos + 1]):
                 raise BadDimsError(
                     f"glue dimension {j} exceeds adjacent disks"
-                    f" {self.dims[pos]}, {self.dims[pos + 1]}"
+                    f" {dims[pos]}, {dims[pos + 1]}"
                 )
-        for pair in self.sides:
+        for pair in sides:
             if len(pair) != 2 or any(s not in ("source", "target") for s in pair):
                 raise BadDimsError(f"bad side pair {pair!r}")
+        for n in dims:
+            _check_disk_dims(n)
+        _set_field(self, "dims", dims)
+        _set_field(self, "glue", glue)
+        _set_field(self, "sides", sides)
 
     def is_composable(self) -> bool:
         """True when every gluing is target-into-left, source-into-right,
@@ -303,6 +312,8 @@ class ThetaSpec:
 
 def theta(spec: ThetaSpec) -> BasedComplex:
     """Iterated pushout of disks along disk inclusions; always based."""
+    from .colimits import pushout
+
     current = disk(spec.dims[0])
     incl_last = identity_map(current)
     for pos, j in enumerate(spec.glue):
@@ -324,6 +335,8 @@ def wedge_with_legs(
     Generators are renamed ``wl.x`` / ``wr.y`` with the shared basepoint
     ``w0``.
     """
+    from .colimits import pushout
+
     for c, p in ((a, marked_a), (b, marked_b)):
         if not c.has_generator(p) or c.degree_of(p) != 0 or c.aug[p] != 1:
             raise BadBasepointError(f"marked generator must be a vertex of augmentation 1")
@@ -466,6 +479,8 @@ def _induced_iso_items(
 def boundary_decomposition_check(family: str, n: int) -> CheckReport:
     """Verify that the boundary of the n-shape is the coequalizer of its
     codimension-2 faces mapping into its codimension-1 faces."""
+    from .colimits import coequalizer, induced_from_coequalizer
+
     if n < 2:
         raise BadDimsError(f"boundary decomposition needs n >= 2, got {n}")
     shape, faces, doubles, into_first, into_second, face_into_shape = (
@@ -516,6 +531,9 @@ def boundary_decomposition_check(family: str, n: int) -> CheckReport:
 def top_cell_decomposition_check(family: str, n: int) -> CheckReport:
     """Verify that the n-shape is its boundary with one n-disk attached along
     the source/target tower of the unique top cell."""
+    from .colimits import induced_from_pushout, pushout
+    from .steiner import atom_table
+
     if n < 1:
         raise BadDimsError(f"top-cell decomposition needs n >= 1, got {n}")
     if family not in ("cube", "oriental"):
@@ -563,6 +581,8 @@ def top_cell_decomposition_check(family: str, n: int) -> CheckReport:
 
 def shape_library(big: bool = False) -> dict[str, BasedComplex]:
     """A fixed catalogue of shapes used across the property suites."""
+    from .ops import suspension
+
     lib: dict[str, BasedComplex] = {
         "unit": unit(),
         "interval": interval(),

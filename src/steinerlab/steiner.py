@@ -12,7 +12,6 @@ linear extension is Kahn's algorithm on a heap of ``name_key`` ranks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .cells import CellTable
@@ -23,6 +22,8 @@ from .core import (
     CheckReport,
     DegreeMismatchError,
     _adopt,
+    _Record,
+    _set_field,
     chain_of,
     report,
     validate_complex,
@@ -83,12 +84,14 @@ def unitality_check(c: BasedComplex) -> CheckReport:
     return report(_atom_items(c)[1])
 
 
-@dataclass(frozen=True)
-class PreorderRelation:
+class PreorderRelation(_Record):
     """Generating edges of the preorder on the basis of one complex."""
 
-    elements: tuple[Name, ...]
-    edges: tuple[tuple[Name, Name], ...]
+    __slots__ = ("elements", "edges")
+
+    def __init__(self, elements: tuple[Name, ...], edges: tuple[tuple[Name, Name], ...]):
+        _set_field(self, "elements", elements)
+        _set_field(self, "edges", edges)
 
     def successors(self) -> dict[Name, list[Name]]:
         out: dict[Name, list[Name]] = {e: [] for e in self.elements}

@@ -479,3 +479,29 @@ def test_cli_gen_deterministic(capsys):
     assert main(["gen", "oriental", "3"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-retract", "xi", "-1"],
+        ["verify-retract", "ell", "-1"],
+        ["verify-retract", "q-cube", "-1"],
+        ["verify-retract", "zeta", "-1", "1"],
+        ["verify-retract", "theta", "-1"],
+        ["verify-retract", "theta", "2,-1", "--glue", "0"],
+        ["gen", "theta", "-1"],
+    ],
+)
+def test_cli_negative_dimensions_are_bad_dims(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [BAD_DIMS]: ")
+
+
+def test_cli_gen_theta_negative_keeps_its_message(capsys):
+    assert main(["gen", "theta", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "error [BAD_DIMS]: disk dimension must be >= 0, got -1\n"
+    )

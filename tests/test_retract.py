@@ -3,6 +3,7 @@ import random
 import pytest
 
 from steinerlab import (
+    BadDimsError,
     Chain,
     RetractionPair,
     ThetaSpec,
@@ -202,3 +203,16 @@ def test_retraction_pair_reports_failures():
     assert bad.verify().passed
     mixed = RetractionPair(embed=s2(), retract=q2())
     assert mixed.verify().passed
+
+
+@pytest.mark.parametrize("build", [xi, section_xi, section_ell, section_q_cube])
+def test_negative_dimensions_are_refused(build):
+    with pytest.raises(BadDimsError):
+        build(-1)
+    with pytest.raises(BadDimsError):
+        build(-5)
+
+
+def test_theta_retract_refuses_negative_disks():
+    with pytest.raises(BadDimsError):
+        theta_retract_into_oriental(ThetaSpec((-1,)))

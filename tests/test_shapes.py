@@ -271,3 +271,11 @@ def test_disks_built_from_threads_at_once():
     tower = _suspension_tower(unit(), 28)
     assert all(c == tower[n] for n, c in results)
     assert all(disk(n) is disk(n) for n in range(0, 30, 2))
+
+
+def test_theta_spec_checks_every_disk_dimension():
+    # A single disk meets no glue bound, so only the disk check refuses it.
+    with pytest.raises(BadDimsError, match="disk dimension must be >= 0, got -1"):
+        ThetaSpec((-1,))
+    with pytest.raises(NameDepthError):
+        ThetaSpec((1, MAX_NAME_DEPTH), (0,), (("target", "source"),))
