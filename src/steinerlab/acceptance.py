@@ -12,7 +12,14 @@ import random
 from math import comb
 
 from .basic import interval, unit
-from .cells import compose_tables, identity_table, source, target, validate_table
+from .cells import (
+    _glues,
+    compose_tables,
+    identity_table,
+    source,
+    target,
+    validate_table,
+)
 from .core import (
     BasedComplex,
     Chain,
@@ -361,19 +368,16 @@ def _degenerate_at(t, dim: int):
     return t
 
 
-def _composable_pairs(pool, max_results=4000):
+def _composable_pairs(pool):
     """Indices (i, j, p) with pool[i] then pool[j] composable along p."""
-    pairs = []
-    for i, t in enumerate(pool):
-        for j, u in enumerate(pool):
-            if t.dim != u.dim:
-                continue
-            for p in range(t.dim):
-                if target(t, p) == source(u, p):
-                    pairs.append((i, j, p))
-                    if len(pairs) >= max_results:
-                        return pairs
-    return pairs
+    return [
+        (i, j, p)
+        for i, t in enumerate(pool)
+        for j, u in enumerate(pool)
+        if t.dim == u.dim
+        for p in range(t.dim)
+        if _glues(t, u, p)
+    ]
 
 
 def criterion_cells() -> CheckReport:
@@ -419,7 +423,7 @@ def criterion_cells() -> CheckReport:
         for i, j, p in _composable_pairs(extended):
             left = compose_tables(extended[j], extended[i], p)
             for u in extended:
-                if target(left, p) == source(u, p):
+                if _glues(left, u, p):
                     one = compose_tables(u, left, p)
                     right = compose_tables(
                         compose_tables(u, extended[j], p), extended[i], p
@@ -451,7 +455,7 @@ def criterion_cells() -> CheckReport:
                     continue
                 a, b, c, d = pool[i], pool[j], pool[k], pool[l]
                 for q in range(p + 1, a.dim):
-                    if target(a, q) != source(c, q) or target(b, q) != source(d, q):
+                    if not (_glues(a, c, q) and _glues(b, d, q)):
                         continue
                     rows = compose_tables(
                         compose_tables(d, c, p), compose_tables(b, a, p), q

@@ -121,6 +121,16 @@ def is_degenerate(t: CellTable) -> bool:
     return t.dim >= 1 and t.minus[t.dim].is_zero()
 
 
+def _glues(t: CellTable, u: CellTable, p: int) -> bool:
+    """Whether ``target(t, p) == source(u, p)`` for two tables over one
+    complex, read off the entries without building either truncation."""
+    return (
+        t.plus[p] == u.minus[p]
+        and t.minus[:p] == u.minus[:p]
+        and t.plus[:p] == u.plus[:p]
+    )
+
+
 def compose_tables(u: CellTable, t: CellTable, p: int) -> CellTable:
     """Compose ``t`` then ``u`` along level ``p``.
 
@@ -132,21 +142,12 @@ def compose_tables(u: CellTable, t: CellTable, p: int) -> CellTable:
         raise NotComposableError("tables live in different complexes")
     if t.dim != u.dim or not (0 <= p < t.dim):
         raise NotComposableError(f"need equal dimensions above level {p}")
-    if target(t, p) != source(u, p):
+    if not _glues(t, u, p):
         raise NotComposableError("target of first does not match source of second")
-    minus = []
-    plus = []
-    for k in range(t.dim + 1):
-        if k < p:
-            minus.append(t.minus[k])
-            plus.append(t.plus[k])
-        elif k == p:
-            minus.append(t.minus[k])
-            plus.append(u.plus[k])
-        else:
-            minus.append(t.minus[k] + u.minus[k])
-            plus.append(t.plus[k] + u.plus[k])
-    result = CellTable(t.ambient, t.dim, tuple(minus), tuple(plus))
+    above = range(p + 1, t.dim + 1)
+    minus = t.minus[: p + 1] + tuple(t.minus[k] + u.minus[k] for k in above)
+    plus = t.plus[:p] + (u.plus[p],) + tuple(t.plus[k] + u.plus[k] for k in above)
+    result = CellTable(t.ambient, t.dim, minus, plus)
     check = validate_table(result)
     if not check.passed:
         raise InvalidResultError(

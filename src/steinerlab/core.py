@@ -75,7 +75,8 @@ def check_size(total: int) -> None:
     """Refuse a complex of ``total`` generators over the limit, before it is built."""
     if total > max_generators():
         raise SizeLimitError(
-            f"complex with {total} generators exceeds STEINERLAB_MAX_GENERATORS"
+            f"complex with {_int_to_text(total)} generators exceeds"
+            " STEINERLAB_MAX_GENERATORS"
         )
 
 

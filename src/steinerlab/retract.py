@@ -4,7 +4,10 @@ suspensions, and wedges.
 Everything here is constructive: each operation returns concrete maps whose
 defining identities (section/retraction composites, quotient triangles) are
 exact integer matrix equations, re-verified by the test battery.  The
-recursions memoize by dimension.
+cube-to-oriental comparison :func:`xi` and its section are closed forms on
+cube words and vertex subsets; :func:`section_q_cube` recurses on the
+dimension, and theta retracts on the spec's suspension/wedge tree.  The
+comparison and the sections memoize by dimension.
 """
 
 from __future__ import annotations
@@ -31,23 +34,11 @@ from .core import (
     validate_map,
 )
 from .names import Name
-from .ops import (
-    cube_selfduality,
-    dual_op,
-    dual_op_map,
-    gray_tensor,
-    gray_tensor_map,
-    join,
-    p_map,
-    suspension,
-    suspension_map,
-    swap_iso_op,
-)
+from .ops import gray_tensor, gray_tensor_map, join, suspension, suspension_map
 from .shapes import (
     BadDimsError,
     ThetaSpec,
     _cube_word,
-    _right_cone_name,
     cube,
     oriental,
     wedge_with_legs,
@@ -98,52 +89,12 @@ def _shift_subset(name: Name, offset: int) -> Name:
     return tuple(str(int(v) + offset) for v in name)
 
 
-def split_last_letter(n: int) -> ComplexMap:
-    """Rename ``cube(n)`` as ``cube(n-1) (x) interval``."""
-    return basis_renaming_map(
-        cube(n),
-        gray_tensor(cube(n - 1), interval()),
-        lambda g: ("t", _cube_word_name(_cube_word(g)[:-1]), (_cube_word(g)[-1],)),
-    )
-
-
 def split_first_letter(n: int) -> ComplexMap:
     """Rename ``cube(n)`` as ``interval (x) cube(n-1)``."""
     return basis_renaming_map(
         cube(n),
         gray_tensor(interval(), cube(n - 1)),
         lambda g: ("t", (_cube_word(g)[0],), _cube_word_name(_cube_word(g)[1:])),
-    )
-
-
-def right_cone_renaming(n: int) -> ComplexMap:
-    """Rename ``join(oriental(n-1), unit)`` as ``oriental(n)``: the new
-    vertex becomes ``n``."""
-    return basis_renaming_map(
-        join(oriental(n - 1), unit()), oriental(n), lambda g: _right_cone_name(g, n)
-    )
-
-
-def left_cone_renaming(n: int) -> ComplexMap:
-    """Rename ``join(unit, oriental(n-1))`` as ``oriental(n)``: the new
-    vertex becomes ``0`` and old vertices shift up."""
-
-    def rename(g: Name) -> Name:
-        if g[0] == "jl":
-            return ("0",)
-        if g[0] == "jr":
-            return _shift_subset(g[1], 1)
-        return ("0",) + _shift_subset(g[2], 1)
-
-    return basis_renaming_map(join(unit(), oriental(n - 1)), oriental(n), rename)
-
-
-def oriental_reversal(n: int) -> ComplexMap:
-    """Self-duality of the oriental: vertex reversal onto the op dual."""
-    return basis_renaming_map(
-        oriental(n),
-        dual_op(oriental(n)),
-        lambda g: tuple(str(n - int(v)) for v in reversed(g)),
     )
 
 
@@ -274,20 +225,47 @@ def section_q_cube(n: int) -> RetractionPair:
 # -- cube-to-oriental comparison ------------------------------------------------
 
 
-def p_oriental(n: int) -> ComplexMap:
-    """The quotient ``oriental(n) (x) interval -> oriental(n+1)``."""
-    return compose(p_map(oriental(n)), right_cone_renaming(n + 1))
+@lru_cache(maxsize=None)
+def xi(n: int) -> ComplexMap:
+    """The comparison ``cube(n) -> oriental(n)``.
+
+    A word with a ``1`` after its first ``i`` goes to zero.  Any other word
+    goes to the vertex subset of its ``i`` positions (counting from 1) and
+    the position of its last ``1``, or ``0`` if it has none.
+    """
+    _check_dim("xi", n)
+    assignment: dict[Name, Chain] = {}
+    for deg, g in cube(n).all_generators():
+        w = _cube_word(g)
+        first = w.find("i")
+        if first >= 0 and "1" in w[first:]:
+            assignment[g] = Chain(deg)
+        else:
+            ipos = [str(p + 1) for p, ch in enumerate(w) if ch == "i"]
+            assignment[g] = chain_of(deg, (str(w.rfind("1") + 1), *ipos))
+    return ComplexMap(cube(n), oriental(n), assignment)
 
 
 @lru_cache(maxsize=None)
-def xi(n: int) -> ComplexMap:
-    """The comparison ``cube(n) -> oriental(n)``, inductively the quotient of
-    the previous comparison tensored with the interval."""
+def section_xi(n: int) -> RetractionPair:
+    """Embed the oriental into the cube as a retract of :func:`xi`.
+
+    A subset ``s_0 < ... < s_k`` goes to the sum of the words that are ``1``
+    up to position ``s_0`` and ``0`` after ``s_k``, and that hold one ``i``
+    in each gap ``(s_a, s_(a+1)]``, anywhere in it, with ``0`` before it and
+    ``1`` after it within the gap.
+    """
     _check_dim("xi", n)
-    if n == 0:
-        return basis_renaming_map(cube(0), oriental(0), lambda g: ("0",))
-    step = gray_tensor_map(xi(n - 1), identity_map(interval()))
-    return compose(compose(split_last_letter(n), step), p_oriental(n - 1))
+    assignment: dict[Name, Chain] = {}
+    for deg, g in oriental(n).all_generators():
+        s = [int(v) for v in g]
+        words = ["1" * s[0]]
+        for lo, hi in zip(s, s[1:]):
+            gaps = ["0" * p + "i" + "1" * (hi - lo - p - 1) for p in range(hi - lo)]
+            words = [w + gap for w in words for gap in gaps]
+        tail = "0" * (n - s[-1])
+        assignment[g] = Chain(deg, {_cube_word_name(w + tail): 1 for w in words})
+    return RetractionPair(ComplexMap(oriental(n), cube(n), assignment), xi(n))
 
 
 def e_s_kappa(a: BasedComplex) -> tuple[ComplexMap, ComplexMap]:
@@ -337,64 +315,6 @@ def e_s_kappa(a: BasedComplex) -> tuple[ComplexMap, ComplexMap]:
                 e_assignment[gen] = Chain(deg)
     e = ComplexMap(cyl, cyl, e_assignment)
     return e, s
-
-
-@lru_cache(maxsize=None)
-def section_p_oriental(n: int) -> ComplexMap:
-    """A section of :func:`p_oriental`, transported across the op dualities
-    from the section of the left-sided quotient."""
-    if n == 0:
-        table = {
-            ("0",): ("t", ("0",), ("0",)),
-            ("1",): ("t", ("0",), ("1",)),
-            ("0", "1"): ("t", ("0",), ("i",)),
-        }
-        return basis_renaming_map(
-            oriental(1), gray_tensor(oriental(0), interval()), lambda g: table[g]
-        )
-    _, s = e_s_kappa(oriental(n - 1))
-    cone_rename = left_cone_renaming(n)
-    double_rename = _double_cone_renaming(n + 1)
-    to_tensor = gray_tensor_map(identity_map(interval()), cone_rename)
-    s_renamed = compose(compose(invert_basis_bijection(double_rename), s), to_tensor)
-    swap = invert_basis_bijection(swap_iso_op(oriental(n), interval()))
-    unswap = gray_tensor_map(
-        invert_basis_bijection(oriental_reversal(n)),
-        invert_basis_bijection(cube_selfduality(1, "op")),
-    )
-    return compose(
-        compose(compose(oriental_reversal(n + 1), dual_op_map(s_renamed)), swap),
-        unswap,
-    )
-
-
-def _double_cone_renaming(n: int) -> ComplexMap:
-    """Rename ``join(unit, join(unit, oriental(n-2)))`` as ``oriental(n)``."""
-    inner = left_cone_renaming(n - 1)
-
-    def rename(g: Name) -> Name:
-        if g[0] == "jl":
-            return ("0",)
-        if g[0] == "jr":
-            return _shift_subset(sole_generator(inner.of_gen(g[1])), 1)
-        return ("0",) + _shift_subset(sole_generator(inner.of_gen(g[2])), 1)
-
-    return basis_renaming_map(
-        join(unit(), join(unit(), oriental(n - 2))), oriental(n), rename
-    )
-
-
-@lru_cache(maxsize=None)
-def section_xi(n: int) -> RetractionPair:
-    """Embed the oriental into the cube as a retract of :func:`xi`."""
-    _check_dim("xi", n)
-    if n == 0:
-        embed = basis_renaming_map(oriental(0), cube(0), lambda g: ("u",))
-    else:
-        lift = gray_tensor_map(section_xi(n - 1).embed, identity_map(interval()))
-        merge = invert_basis_bijection(split_last_letter(n))
-        embed = compose(compose(section_p_oriental(n - 1), lift), merge)
-    return RetractionPair(embed, xi(n))
 
 
 # -- sections of the oriental suspension quotient -------------------------------

@@ -286,6 +286,17 @@ def test_cli_verify_retract(capsys):
     assert payload["passed"] is True
 
 
+# SHA-256 of the stdout of ``steinerlab suite --json``, the whole acceptance
+# report: any change to a check's name, verdict, witness or count shows here.
+SUITE_JSON_SHA256 = "6115beee761c926a87d83003e009acfc51c528189147ef0ccd9561b828d67bf1"
+
+
+def test_cli_suite_json_bytes_are_pinned(capsys):
+    assert main(["suite", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUITE_JSON_SHA256
+
+
 def test_cli_check_steiner_failure(tmp_path, capsys):
     from steinerlab.acceptance import fixture_loop
 
@@ -454,6 +465,25 @@ def test_cli_refuses_oversized_results_before_building(capsys):
     for argv in (["gen", "cube", "40"], ["op", "tensor", "cube:8", "cube:8"]):
         assert main(argv) == 2
         assert "error [SIZE_LIMIT]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # totals of more than 4300 digits, which plain int formatting refuses
+        ["gen", "cube", "10000"],
+        ["gen", "oriental", "20000"],
+        ["verify-retract", "q-cube", "10000"],
+        # dimensions deeper than the interpreter's recursion limit
+        ["verify-retract", "xi", "2000"],
+        ["verify-retract", "ell", "5000"],
+    ],
+)
+def test_cli_refuses_huge_dimensions_by_size(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [SIZE_LIMIT]: complex with ")
 
 
 def test_cli_theta_glue_and_sides(capsys):

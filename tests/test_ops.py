@@ -216,7 +216,7 @@ def test_join_swap_iso():
 
 
 def test_oriental_self_duality_via_reversal():
-    from steinerlab.retract import oriental_reversal
+    from retract_oracle import oriental_reversal
 
     for n in range(5):
         f = oriental_reversal(n)
@@ -450,7 +450,7 @@ def test_p_map_of_edge_is_square_to_triangle():
         f.source,
         lambda g: ("t", letter_to_subset[g[0][0]], (g[0][1],)),
     )
-    from steinerlab.retract import right_cone_renaming
+    from retract_oracle import right_cone_renaming
 
     glue = right_cone_renaming(2)
     assert compose(compose(split, f), glue) == q2()

@@ -37,7 +37,14 @@ from steinerlab import (
     xi,
     zeta,
 )
-from steinerlab.retract import ell_oriental, q_cube, right_cone_renaming, split_last_letter
+from steinerlab.retract import ell_oriental, q_cube
+
+from retract_oracle import (
+    right_cone_renaming,
+    section_xi_recursive,
+    split_last_letter,
+    xi_recursive,
+)
 
 
 def test_q2_s2_are_the_worked_maps():
@@ -128,6 +135,12 @@ def test_xi_and_sections():
         assert section_xi(n).verify().passed
     assert xi(2) == q2()
     assert section_xi(2).embed == s2()
+
+
+def test_xi_and_section_match_the_recursive_oracle():
+    for n in range(8):
+        assert xi(n) == xi_recursive(n)
+        assert section_xi(n).embed == section_xi_recursive(n)
 
 
 def test_xi_fixes_top_cells():
