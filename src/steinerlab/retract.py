@@ -5,14 +5,15 @@ Everything here is constructive: each operation returns concrete maps whose
 defining identities (section/retraction composites, quotient triangles) are
 exact integer matrix equations, re-verified by the test battery.  The
 cube-to-oriental comparison :func:`xi` and its section are closed forms on
-cube words and vertex subsets; :func:`section_q_cube` recurses on the
-dimension, and theta retracts on the spec's suspension/wedge tree.  The
+cube words and vertex subsets, and so is :func:`section_q_cube`.  Theta
+retracts wedge the retracts of the spec's blocks at its lowest glue level
+left to right and suspend the result, recursing once per glue level.  The
 comparison and the sections memoize by dimension.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .basic import interval, unit
 from .core import (
@@ -87,15 +88,6 @@ def _cube_word_name(word: str) -> Name:
 
 def _shift_subset(name: Name, offset: int) -> Name:
     return tuple(str(int(v) + offset) for v in name)
-
-
-def split_first_letter(n: int) -> ComplexMap:
-    """Rename ``cube(n)`` as ``interval (x) cube(n-1)``."""
-    return basis_renaming_map(
-        cube(n),
-        gray_tensor(interval(), cube(n - 1)),
-        lambda g: ("t", (_cube_word(g)[0],), _cube_word_name(_cube_word(g)[1:])),
-    )
 
 
 # -- the square: quotient and section -----------------------------------------
@@ -205,21 +197,25 @@ def q_cube(n: int) -> ComplexMap:
 
 @lru_cache(maxsize=None)
 def section_q_cube(n: int) -> RetractionPair:
-    """Section of the cube-to-suspended-cube quotient, by recursion through
-    the suspension comparison."""
-    if n == 0:
-        embed = basis_renaming_map(
-            suspension(unit()),
-            cube(1),
-            lambda g: {("b0",): ("0",), ("b1",): ("1",), ("s", ("u",)): ("i",)}[g],
-        )
-    else:
-        split = suspension_map(split_first_letter(n))
-        phi = phi_map(cube(n - 1))
-        lift = gray_tensor_map(identity_map(interval()), section_q_cube(n - 1).embed)
-        merge = invert_basis_bijection(split_first_letter(n + 1))
-        embed = compose(compose(compose(split, phi), lift), merge)
-    return RetractionPair(embed, q_cube(n))
+    """Section of the cube-to-suspended-cube quotient.
+
+    The poles go to the words ``0...0`` and ``1...1``.  ``s.w`` goes to the
+    sum of ``w + "i"`` and of the words that follow ``w`` up to a position
+    ``p`` after its last ``i``, hold ``i`` at ``p`` and then repeat the
+    letter of ``0``, ``1`` that ``w`` does not have at ``p``.
+    """
+    source = suspension(cube(n))
+    assignment: dict[Name, Chain] = {
+        ("b0",): chain_of(0, ("0" * (n + 1),)),
+        ("b1",): chain_of(0, ("1" * (n + 1),)),
+    }
+    for deg, g in cube(n).all_generators():
+        w = _cube_word(g)
+        words = [w + "i"]
+        for p in range(w.rfind("i") + 1, n):
+            words.append(w[:p] + "i" + ("1" if w[p] == "0" else "0") * (n - p))
+        assignment[("s", g)] = Chain(deg + 1, {(word,): 1 for word in words})
+    return RetractionPair(ComplexMap(source, cube(n + 1), assignment), q_cube(n))
 
 
 # -- cube-to-oriental comparison ------------------------------------------------
@@ -413,60 +409,12 @@ def theta_left_inverse(n: int, m: int) -> ComplexMap:
 # -- retracts of theta objects ----------------------------------------------------
 
 
-def _spec_to_tree(spec: ThetaSpec):
-    """Convert a composable gluing spec into a suspension/wedge tree."""
-    if not spec.is_composable():
-        raise UnsupportedSpecError(
-            "theta spec is not a suspension/wedge pasting: every gluing must"
-            " be target-into-left, source-into-right"
-        )
-
-    def build(dims: tuple[int, ...], glues: tuple[int, ...]):
-        if len(dims) == 1:
-            tree = ("point",)
-            for _ in range(dims[0]):
-                tree = ("susp", tree)
-            return tree
-        mu = min(glues)
-        blocks: list[tuple[list[int], list[int]]] = [([dims[0]], [])]
-        for pos, j in enumerate(glues):
-            if j == mu:
-                blocks.append(([dims[pos + 1]], []))
-            else:
-                blocks[-1][0].append(dims[pos + 1])
-                blocks[-1][1].append(j)
-        tree = None
-        for block_dims, block_glues in blocks:
-            sub = build(
-                tuple(d - mu for d in block_dims),
-                tuple(j - mu for j in block_glues),
-            )
-            tree = sub if tree is None else ("wedge", tree, sub)
-        for _ in range(mu):
-            tree = ("susp", tree)
-        return tree
-
-    return build(spec.dims, spec.glue)
-
-
-def _build_retract(tree):
-    """Recursively build (complex, left point, right point, embed, retract)."""
-    if tree[0] == "point":
-        obj = unit()
-        embed = basis_renaming_map(obj, oriental(0), lambda g: ("0",))
-        retract = invert_basis_bijection(embed)
-        return obj, ("u",), ("u",), embed, retract
-    if tree[0] == "susp":
-        obj, _, _, embed, retract = _build_retract(tree[1])
-        n = embed.target.top_degree if embed.target.degrees else 0
-        pair = section_ell(n)
-        new_embed = compose(suspension_map(embed), pair.embed)
-        new_retract = compose(pair.retract, suspension_map(retract))
-        return suspension(obj), ("b0",), ("b1",), new_embed, new_retract
-    obj1, l1, r1, e1, rt1 = _build_retract(tree[1])
-    obj2, l2, r2, e2, rt2 = _build_retract(tree[2])
-    n1 = e1.target.top_degree if e1.target.degrees else 0
-    n2 = e2.target.top_degree if e2.target.degrees else 0
+def _wedge_retracts(first, second):
+    """Wedge two retracts, each ``(complex, left point, right point, embed,
+    retract)``, at the first's right and the second's left point."""
+    obj1, l1, r1, e1, rt1 = first
+    obj2, l2, r2, e2, rt2 = second
+    n1, n2 = e1.target.top_degree, e2.target.top_degree
     w, lam1, lam2 = wedge_with_legs(obj1, r1, obj2, l2)
     wd, mu1, mu2 = _oriental_wedge(n1, n2)
 
@@ -497,8 +445,44 @@ def _build_retract(tree):
     return w, left, right, new_embed, new_retract
 
 
+def _theta_retract(dims: list[int], glues: list[int]):
+    """The retract of the theta of a composable spec, as ``(complex, left
+    point, right point, embed, retract)``.
+
+    The spec splits into blocks at its lowest glue level ``mu``; the
+    retracts of the blocks, every dimension lowered by ``mu``, are wedged
+    left to right and the result is suspended ``mu`` times.  A single disk
+    is the point suspended.
+    """
+    if len(dims) == 1:
+        mu = dims[0]
+        embed = basis_renaming_map(unit(), oriental(0), lambda g: ("0",))
+        part = (unit(), ("u",), ("u",), embed, invert_basis_bijection(embed))
+    else:
+        mu = min(glues)
+        blocks: list[tuple[list[int], list[int]]] = [([dims[0] - mu], [])]
+        for d, j in zip(dims[1:], glues):
+            if j == mu:
+                blocks.append(([d - mu], []))
+            else:
+                blocks[-1][0].append(d - mu)
+                blocks[-1][1].append(j - mu)
+        part = reduce(_wedge_retracts, (_theta_retract(*block) for block in blocks))
+    obj, left, right, embed, retract = part
+    for _ in range(mu):
+        pair = section_ell(embed.target.top_degree)
+        embed = compose(suspension_map(embed), pair.embed)
+        retract = compose(pair.retract, suspension_map(retract))
+        obj, left, right = suspension(obj), ("b0",), ("b1",)
+    return obj, left, right, embed, retract
+
+
 def theta_retract_into_oriental(spec: ThetaSpec) -> RetractionPair:
     """Realize a composable theta spec as a retract of an oriental."""
-    tree = _spec_to_tree(spec)
-    _, _, _, embed, retract = _build_retract(tree)
+    if not spec.is_composable():
+        raise UnsupportedSpecError(
+            "theta spec is not a suspension/wedge pasting: every gluing must"
+            " be target-into-left, source-into-right"
+        )
+    _, _, _, embed, retract = _theta_retract(list(spec.dims), list(spec.glue))
     return RetractionPair(embed, retract)

@@ -42,8 +42,9 @@ from .core import (
 )
 from .names import MAX_NAME_DEPTH, Name
 
-# The seven functions that use ``ops``, ``colimits`` or ``steiner`` import
-# them where they run, so that building a cube, oriental or disk loads none.
+# The six functions that use ``ops``, ``colimits`` or ``steiner`` import
+# them where they run, so that building a cube, oriental, disk or wedge loads
+# none.
 if TYPE_CHECKING:
     from .colimits import PushoutResult
 
@@ -335,37 +336,32 @@ def wedge_with_legs(
     Generators are renamed ``wl.x`` / ``wr.y`` with the shared basepoint
     ``w0``.
     """
-    from .colimits import pushout
-
     for c, p in ((a, marked_a), (b, marked_b)):
         if not c.has_generator(p) or c.degree_of(p) != 0 or c.aug[p] != 1:
             raise BadBasepointError(f"marked generator must be a vertex of augmentation 1")
-    point = unit()
-    f = ComplexMap(point, a, {("u",): chain_of(0, marked_a)})
-    g = ComplexMap(point, b, {("u",): chain_of(0, marked_b)})
-    result = pushout(f, g)
-    quotient = result.require_based()
-    assert result.leg_a is not None and result.leg_b is not None
-    table: dict[Name, Name] = {sole_generator(result.leg_a.of_gen(marked_a)): ("w0",)}
-    for _, x in a.all_generators():
-        if x != marked_a:
-            table[("l", x)] = ("wl", x)
-    for _, y in b.all_generators():
-        if y != marked_b:
-            table[("r", y)] = ("wr", y)
-    renamed = quotient.renamed(lambda g_: table[g_])
-
-    def relabeled(leg: ComplexMap) -> ComplexMap:
-        return ComplexMap(
-            leg.source,
-            renamed,
-            {
-                x: _adopt(deg, {table[h]: c for h, c in leg.of_gen(x)._coeffs.items()})
-                for deg, x in leg.source.all_generators()
-            },
-        )
-
-    return renamed, relabeled(result.leg_a), relabeled(result.leg_b)
+    degrees: dict[int, list[Name]] = {0: [("w0",)]}
+    diff: dict[Name, Chain] = {}
+    aug: dict[Name, int] = {("w0",): 1}
+    tables = []
+    for c, p, tag in ((a, marked_a, "wl"), (b, marked_b, "wr")):
+        table = {p: ("w0",)}
+        for deg, x in c.all_generators():
+            if x == p:
+                continue
+            table[x] = (tag, x)
+            degrees.setdefault(deg, []).append(table[x])
+            if deg:
+                terms = c.diff[x]._coeffs.items()
+                diff[table[x]] = _adopt(deg - 1, {table[h]: k for h, k in terms})
+            else:
+                aug[table[x]] = c.aug[x]
+        tables.append(table)
+    w = BasedComplex(degrees, diff, aug)
+    return (
+        w,
+        basis_renaming_map(a, w, tables[0].__getitem__),
+        basis_renaming_map(b, w, tables[1].__getitem__),
+    )
 
 
 def wedge(

@@ -1,12 +1,18 @@
-"""The recursive cube-to-oriental comparison, kept as the oracle for the
-closed forms of :func:`steinerlab.retract.xi` and
-:func:`steinerlab.retract.section_xi`.
+"""The recursive cube sections and the pushout wedge, kept as the oracles
+for the closed forms of :func:`steinerlab.retract.xi`,
+:func:`steinerlab.retract.section_xi`,
+:func:`steinerlab.retract.section_q_cube` and for the direct
+:func:`steinerlab.shapes.wedge_with_legs`.
 
 ``xi_recursive(n)`` tensors the previous comparison with the interval and
 applies the right-cone quotient; ``section_xi_recursive(n)`` lifts the
 previous section through :func:`section_p_oriental`, which carries the
-section of the left-sided cone quotient across the op dualities.  Nothing
-here shares code with the closed forms beyond the shapes themselves.
+section of the left-sided cone quotient across the op dualities.
+``section_q_cube_recursive(n)`` lifts the previous section through the
+suspension comparison :func:`steinerlab.retract.phi_map`.
+``wedge_pushout`` glues at the marked vertices by a pushout and renames the
+result.  Nothing here shares code with the closed forms beyond the shapes
+themselves.
 """
 
 from __future__ import annotations
@@ -14,9 +20,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from steinerlab.basic import interval, unit
+from steinerlab.colimits import pushout
 from steinerlab.core import (
+    BasedComplex,
     ComplexMap,
+    _adopt,
     basis_renaming_map,
+    chain_of,
     compose,
     identity_map,
     invert_basis_bijection,
@@ -31,10 +41,26 @@ from steinerlab.ops import (
     gray_tensor_map,
     join,
     p_map,
+    suspension,
+    suspension_map,
     swap_iso_op,
 )
-from steinerlab.retract import _cube_word_name, _shift_subset, e_s_kappa
+from steinerlab.retract import (
+    _cube_word_name,
+    _shift_subset,
+    e_s_kappa,
+    phi_map,
+)
 from steinerlab.shapes import _cube_word, _right_cone_name, cube, oriental
+
+
+def split_first_letter(n: int) -> ComplexMap:
+    """Rename ``cube(n)`` as ``interval (x) cube(n-1)``."""
+    return basis_renaming_map(
+        cube(n),
+        gray_tensor(interval(), cube(n - 1)),
+        lambda g: ("t", (_cube_word(g)[0],), _cube_word_name(_cube_word(g)[1:])),
+    )
 
 
 def split_last_letter(n: int) -> ComplexMap:
@@ -146,3 +172,52 @@ def section_xi_recursive(n: int) -> ComplexMap:
     lift = gray_tensor_map(section_xi_recursive(n - 1), identity_map(interval()))
     merge = invert_basis_bijection(split_last_letter(n))
     return compose(compose(section_p_oriental(n - 1), lift), merge)
+
+
+@lru_cache(maxsize=None)
+def section_q_cube_recursive(n: int) -> ComplexMap:
+    """The embedding half of :func:`steinerlab.retract.section_q_cube`, by
+    recursion through the suspension comparison."""
+    if n == 0:
+        return basis_renaming_map(
+            suspension(unit()),
+            cube(1),
+            lambda g: {("b0",): ("0",), ("b1",): ("1",), ("s", ("u",)): ("i",)}[g],
+        )
+    split = suspension_map(split_first_letter(n))
+    phi = phi_map(cube(n - 1))
+    lift = gray_tensor_map(identity_map(interval()), section_q_cube_recursive(n - 1))
+    merge = invert_basis_bijection(split_first_letter(n + 1))
+    return compose(compose(compose(split, phi), lift), merge)
+
+
+def wedge_pushout(
+    a: BasedComplex, marked_a: Name, b: BasedComplex, marked_b: Name
+) -> tuple[BasedComplex, ComplexMap, ComplexMap]:
+    """The wedge and its legs as the pushout of the two marked vertices,
+    renamed ``wl.x`` / ``wr.y`` with the shared basepoint ``w0``."""
+    point = unit()
+    f = ComplexMap(point, a, {("u",): chain_of(0, marked_a)})
+    g = ComplexMap(point, b, {("u",): chain_of(0, marked_b)})
+    result = pushout(f, g)
+    quotient = result.require_based()
+    table: dict[Name, Name] = {sole_generator(result.leg_a.of_gen(marked_a)): ("w0",)}
+    for _, x in a.all_generators():
+        if x != marked_a:
+            table[("l", x)] = ("wl", x)
+    for _, y in b.all_generators():
+        if y != marked_b:
+            table[("r", y)] = ("wr", y)
+    renamed = quotient.renamed(lambda g_: table[g_])
+
+    def relabeled(leg: ComplexMap) -> ComplexMap:
+        return ComplexMap(
+            leg.source,
+            renamed,
+            {
+                x: _adopt(deg, {table[h]: c for h, c in leg.of_gen(x)._coeffs.items()})
+                for deg, x in leg.source.all_generators()
+            },
+        )
+
+    return renamed, relabeled(result.leg_a), relabeled(result.leg_b)

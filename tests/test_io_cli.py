@@ -44,7 +44,16 @@ _GOLDEN = Path(__file__).with_name("emit_digests.json")
 
 def golden_values() -> dict:
     """Every value whose ``emit`` digest is pinned in ``emit_digests.json``."""
-    from steinerlab import BasedComplex, Chain, section_xi, zero
+    from steinerlab import (
+        BasedComplex,
+        Chain,
+        ThetaSpec,
+        section_q_cube,
+        section_xi,
+        theta_retract_into_oriental,
+        wedge_with_legs,
+        zero,
+    )
 
     big = 10**5000
     odd = [("é\"\\x",), (" ",), ("a", ("b",))]
@@ -52,6 +61,18 @@ def golden_values() -> dict:
     for n in range(4):
         values[f"section_xi({n}) embed"] = section_xi(n).embed
         values[f"section_xi({n}) retract"] = section_xi(n).retract
+        values[f"section_q_cube({n}) embed"] = section_q_cube(n).embed
+        values[f"section_q_cube({n}) retract"] = section_q_cube(n).retract
+    w, left, right = wedge_with_legs(oriental(2), ("2",), cube(2), ("00",))
+    values["wedge oriental2.2 cube2.00"] = w
+    values["wedge oriental2.2 cube2.00 left leg"] = left
+    values["wedge oriental2.2 cube2.00 right leg"] = right
+    for dims, glue in (((2, 1, 2), (1, 1)), ((1, 1, 1), (0, 0))):
+        spec = ThetaSpec(dims, glue, (("target", "source"),) * len(glue))
+        pair = theta_retract_into_oriental(spec)
+        label = f"theta_retract {','.join(map(str, dims))} | {','.join(map(str, glue))}"
+        values[f"{label} embed"] = pair.embed
+        values[f"{label} retract"] = pair.retract
     values["zero"] = zero()
     values["odd atoms, 10**5000"] = BasedComplex(
         {0: odd, 1: [("e",)]},
@@ -481,6 +502,19 @@ def test_cli_refuses_oversized_results_before_building(capsys):
 )
 def test_cli_refuses_huge_dimensions_by_size(argv, capsys):
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [SIZE_LIMIT]: complex with ")
+
+
+def test_cli_verify_retract_theta_of_many_disks(monkeypatch, capsys):
+    """A spec of 1500 disks glued at one level is folded, not recursed on."""
+    dims = ",".join(["0"] * 1500)
+    glue = ",".join(["0"] * 1499)
+    assert main(["verify-retract", "theta", dims, "--glue", glue]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASSED"
+    monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", "2000")
+    assert main(["verify-retract", "theta", dims.replace("0", "1"), "--glue", glue]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error [SIZE_LIMIT]: complex with ")

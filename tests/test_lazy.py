@@ -99,17 +99,30 @@ def test_import_loads_only_the_package():
     assert _loaded("import steinerlab") == {"steinerlab"}
 
 
-def test_gen_cube_loads_only_what_it_uses():
-    code = (
+# What ``gen cube 2`` loads: the CLI, the core, the shapes and the writer.
+GEN_MODULES = {
+    "steinerlab", "steinerlab.cli", "steinerlab.core", "steinerlab.names",
+    "steinerlab.basic", "steinerlab.shapes", "steinerlab.io",
+}
+
+
+def _cli_call(argv: list[str]) -> str:
+    return (
         "import contextlib, io\n"
         "from steinerlab.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['gen', 'cube', '2']) == 0"
+        f"    assert main({argv!r}) == 0"
     )
-    assert _loaded(code) == {
-        "steinerlab", "steinerlab.cli", "steinerlab.core", "steinerlab.names",
-        "steinerlab.basic", "steinerlab.shapes", "steinerlab.io",
-    }
+
+
+def test_gen_cube_loads_only_what_it_uses():
+    assert _loaded(_cli_call(["gen", "cube", "2"])) == GEN_MODULES
+
+
+def test_gen_wedge_loads_no_colimits():
+    # A wedge is glued directly, without a pushout.
+    argv = ["gen", "wedge", "interval", "1", "interval", "0"]
+    assert _loaded(_cli_call(argv)) == GEN_MODULES
 
 
 def test_acceptance_loads_every_library_module():

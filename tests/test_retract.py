@@ -41,6 +41,7 @@ from steinerlab.retract import ell_oriental, q_cube
 
 from retract_oracle import (
     right_cone_renaming,
+    section_q_cube_recursive,
     section_xi_recursive,
     split_last_letter,
     xi_recursive,
@@ -119,6 +120,13 @@ def test_q_cube_and_sections():
         pair = section_q_cube(n)
         assert pair.retract == q_cube(n)
         assert pair.verify().passed
+
+
+def test_section_q_cube_matches_the_recursive_oracle():
+    for n in range(8):
+        assert section_q_cube(n).embed == section_q_cube_recursive(n)
+    with pytest.raises(BadDimsError, match="^cube dimension must be >= 0, got -1$"):
+        section_q_cube(-1)
 
 
 def test_cube_and_oriental_quotients_match_their_suspension_oracles():

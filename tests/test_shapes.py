@@ -24,6 +24,7 @@ from steinerlab import (
     oriental,
     oriental_via_join,
     random_theta_spec,
+    shape_library,
     suspension,
     theta,
     top_cell_decomposition_check,
@@ -32,11 +33,14 @@ from steinerlab import (
     validate_complex,
     validate_map,
     wedge,
+    wedge_with_legs,
     zero,
 )
 from steinerlab.names import MAX_NAME_DEPTH
 from steinerlab.shapes import EmptyComplexError, disk_top_gen
 from steinerlab.steiner import is_steiner
+
+from retract_oracle import wedge_pushout
 
 
 def test_basic_cells():
@@ -180,6 +184,13 @@ def test_wedge_examples():
 
     with pytest.raises(BadBasepointError):
         wedge(interval(), ("i",), interval(), ("0",))
+
+
+def test_wedge_matches_the_pushout_oracle():
+    pointed = [(c, v) for c in shape_library().values() for v in c.generators(0)]
+    for a, x in pointed:
+        for b, y in pointed:
+            assert wedge_with_legs(a, x, b, y) == wedge_pushout(a, x, b, y), (x, y)
 
 
 def test_truncate_top():
