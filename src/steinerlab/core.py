@@ -475,15 +475,7 @@ class BasedComplex:
             table[g] = check_name(rename(g))
         if len(set(table.values())) != len(table):
             raise MalformedError("renaming is not injective")
-        degrees = {
-            deg: [table[g] for g in gens] for deg, gens in self.degrees.items()
-        }
-        diff = {
-            table[g]: _adopt(ch.degree, {table[h]: c for h, c in ch._coeffs.items()})
-            for g, ch in self.diff.items()
-        }
-        aug = {table[g]: v for g, v in self.aug.items()}
-        return BasedComplex(degrees, diff, aug)
+        return _glued([(self, table)])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -499,6 +491,26 @@ class BasedComplex:
     def __repr__(self) -> str:
         counts = ", ".join(f"{d}:{len(g)}" for d, g in sorted(self.degrees.items()))
         return f"<BasedComplex {{{counts}}}>"
+
+
+def _glued(parts: Iterable[tuple[BasedComplex, Mapping[Name, Name]]]) -> BasedComplex:
+    """The complexes of ``parts``, each renamed through its table, as one
+    complex; a name that two tables give is one generator."""
+    degrees: dict[int, list[Name]] = {}
+    diff: dict[Name, Chain] = {}
+    aug: dict[Name, int] = {}
+    for c, table in parts:
+        for deg, g in c.all_generators():
+            new = table[g]
+            if new in diff or new in aug:  # named by an earlier part
+                continue
+            degrees.setdefault(deg, []).append(new)
+            if deg:
+                terms = c.diff[g]._coeffs.items()
+                diff[new] = _adopt(deg - 1, {table[h]: k for h, k in terms})
+            else:
+                aug[new] = c.aug[g]
+    return BasedComplex(degrees, diff, aug)
 
 
 class ComplexMap:
@@ -684,15 +696,8 @@ def equal_presentation(a: BasedComplex, b: BasedComplex) -> bool:
     """Equality up to the canonical order-preserving renaming by position."""
     if graded_counts(a) != graded_counts(b):
         return False
-    table: dict[Name, Name] = {}
-    for deg, gens in a.degrees.items():
-        for ga, gb in zip(gens, b.degrees[deg]):
-            table[ga] = gb
-    for g, ch in a.diff.items():
-        renamed = _adopt(ch.degree, {table[h]: c for h, c in ch._coeffs.items()})
-        if renamed != b.diff[table[g]]:
-            return False
-    return all(b.aug[table[g]] == v for g, v in a.aug.items())
+    table = {x: y for (_, x), (_, y) in zip(a.all_generators(), b.all_generators())}
+    return a.renamed(table.__getitem__) == b
 
 
 def verify_mutually_inverse(f: ComplexMap, g: ComplexMap) -> CheckReport:

@@ -27,6 +27,7 @@ from .core import (
     _Canonical,
     _Record,
     _adopt,
+    _glued,
     _set_field,
     basis_renaming_map,
     chain_of,
@@ -40,11 +41,11 @@ from .core import (
     validate_complex,
     validate_map,
 )
-from .names import MAX_NAME_DEPTH, Name
+from .names import MAX_NAME_DEPTH, Name, check_depth
 
-# The six functions that use ``ops``, ``colimits`` or ``steiner`` import
-# them where they run, so that building a cube, oriental, disk or wedge loads
-# none.
+# The five functions that use ``ops``, ``colimits`` or ``steiner`` import
+# them where they run, so that building a cube, oriental, disk, theta or
+# wedge loads none.
 if TYPE_CHECKING:
     from .colimits import PushoutResult
 
@@ -312,20 +313,34 @@ class ThetaSpec(_Record):
 
 
 def theta(spec: ThetaSpec) -> BasedComplex:
-    """Iterated pushout of disks along disk inclusions; always based."""
-    from .colimits import pushout
+    """The disks of ``spec`` glued along their disk inclusions; always based.
 
-    current = disk(spec.dims[0])
-    incl_last = identity_map(current)
-    for pos, j in enumerate(spec.glue):
-        side_left, side_right = spec.sides[pos]
-        left = compose(disk_inclusion(j, spec.dims[pos], side_left), incl_last)
-        right = disk_inclusion(j, spec.dims[pos + 1], side_right)
-        result = pushout(left, right)
-        current = result.require_based()
-        assert result.leg_b is not None
-        incl_last = result.leg_b
-    return current
+    Disk ``p`` of ``k`` names its generator ``x`` as ``r.x`` (plain ``x`` on
+    disk 0) under ``k-1-p`` ``l`` tags, except that a generator glued to disk
+    ``p+1`` takes that disk's name: the names an iterated pushout keeps.  The
+    disks are renamed from the last to the first and glued by ``core._glued``.
+    """
+    dims, glue, k = spec.dims, spec.glue, len(spec.dims)
+    check_size(sum(2 * n + 1 for n in dims) - sum(2 * j + 1 for j in glue))
+    parts: list[tuple[BasedComplex, dict[Name, Name]]] = []
+    for p in reversed(range(k)):
+        table: dict[Name, Name] = {}
+        if p < k - 1:
+            (left, right), later = spec.sides[p], parts[-1][1]
+            into_p = disk_inclusion(glue[p], dims[p], left).assignment
+            into_next = disk_inclusion(glue[p], dims[p + 1], right).assignment
+            for g, chain in into_p.items():
+                table[sole_generator(chain)] = later[sole_generator(into_next[g])]
+        for deg, x in disk(dims[p]).all_generators():
+            if x not in table:
+                # x nests deg + 1 deep, and r and the k-1-p l tags wrap it
+                check_depth(k - p + deg + (p > 0))
+                name = ("r", x) if p else x
+                for _ in range(k - 1 - p):
+                    name = ("l", name)
+                table[x] = name
+        parts.append((disk(dims[p]), table))
+    return _glued(parts)
 
 
 def wedge_with_legs(
@@ -339,24 +354,12 @@ def wedge_with_legs(
     for c, p in ((a, marked_a), (b, marked_b)):
         if not c.has_generator(p) or c.degree_of(p) != 0 or c.aug[p] != 1:
             raise BadBasepointError(f"marked generator must be a vertex of augmentation 1")
-    degrees: dict[int, list[Name]] = {0: [("w0",)]}
-    diff: dict[Name, Chain] = {}
-    aug: dict[Name, int] = {("w0",): 1}
     tables = []
     for c, p, tag in ((a, marked_a, "wl"), (b, marked_b, "wr")):
-        table = {p: ("w0",)}
-        for deg, x in c.all_generators():
-            if x == p:
-                continue
-            table[x] = (tag, x)
-            degrees.setdefault(deg, []).append(table[x])
-            if deg:
-                terms = c.diff[x]._coeffs.items()
-                diff[table[x]] = _adopt(deg - 1, {table[h]: k for h, k in terms})
-            else:
-                aug[table[x]] = c.aug[x]
+        table = {x: (tag, x) for _, x in c.all_generators()}
+        table[p] = ("w0",)
         tables.append(table)
-    w = BasedComplex(degrees, diff, aug)
+    w = _glued([(a, tables[0]), (b, tables[1])])
     return (
         w,
         basis_renaming_map(a, w, tables[0].__getitem__),

@@ -1,8 +1,8 @@
-"""The recursive cube sections and the pushout wedge, kept as the oracles
-for the closed forms of :func:`steinerlab.retract.xi`,
+"""The recursive cube sections and the pushout wedge and theta, kept as the
+oracles for the closed forms of :func:`steinerlab.retract.xi`,
 :func:`steinerlab.retract.section_xi`,
 :func:`steinerlab.retract.section_q_cube` and for the direct
-:func:`steinerlab.shapes.wedge_with_legs`.
+:func:`steinerlab.shapes.wedge_with_legs` and :func:`steinerlab.shapes.theta`.
 
 ``xi_recursive(n)`` tensors the previous comparison with the interval and
 applies the right-cone quotient; ``section_xi_recursive(n)`` lifts the
@@ -11,7 +11,8 @@ section of the left-sided cone quotient across the op dualities.
 ``section_q_cube_recursive(n)`` lifts the previous section through the
 suspension comparison :func:`steinerlab.retract.phi_map`.
 ``wedge_pushout`` glues at the marked vertices by a pushout and renames the
-result.  Nothing here shares code with the closed forms beyond the shapes
+result; ``theta_pushout`` glues the disks of a theta spec by one pushout
+each.  Nothing here shares code with the closed forms beyond the shapes
 themselves.
 """
 
@@ -51,7 +52,15 @@ from steinerlab.retract import (
     e_s_kappa,
     phi_map,
 )
-from steinerlab.shapes import _cube_word, _right_cone_name, cube, oriental
+from steinerlab.shapes import (
+    ThetaSpec,
+    _cube_word,
+    _right_cone_name,
+    cube,
+    disk,
+    disk_inclusion,
+    oriental,
+)
 
 
 def split_first_letter(n: int) -> ComplexMap:
@@ -221,3 +230,18 @@ def wedge_pushout(
         )
 
     return renamed, relabeled(result.leg_a), relabeled(result.leg_b)
+
+
+def theta_pushout(spec: ThetaSpec) -> BasedComplex:
+    """Iterated pushout of disks along disk inclusions; always based."""
+    current = disk(spec.dims[0])
+    incl_last = identity_map(current)
+    for pos, j in enumerate(spec.glue):
+        side_left, side_right = spec.sides[pos]
+        left = compose(disk_inclusion(j, spec.dims[pos], side_left), incl_last)
+        right = disk_inclusion(j, spec.dims[pos + 1], side_right)
+        result = pushout(left, right)
+        current = result.require_based()
+        assert result.leg_b is not None
+        incl_last = result.leg_b
+    return current

@@ -50,6 +50,7 @@ def golden_values() -> dict:
         ThetaSpec,
         section_q_cube,
         section_xi,
+        theta,
         theta_retract_into_oriental,
         wedge_with_legs,
         zero,
@@ -73,6 +74,17 @@ def golden_values() -> dict:
         label = f"theta_retract {','.join(map(str, dims))} | {','.join(map(str, glue))}"
         values[f"{label} embed"] = pair.embed
         values[f"{label} retract"] = pair.retract
+    codes = {"s": "source", "t": "target"}
+    for dims, glue, sides in (
+        ((2, 2), (1,), ("st",)),
+        ((2, 2), (1,), ("ss",)),
+        ((2, 2), (1,), ("tt",)),
+        ((1, 2), (1,), ("ts",)),
+        ((1, 1, 1, 1), (0, 0, 0), ("ts", "ts", "ts")),
+    ):
+        spec = ThetaSpec(dims, glue, tuple((codes[a], codes[b]) for a, b in sides))
+        label = f"theta {','.join(map(str, dims))} | {','.join(map(str, glue))}"
+        values[f"{label} | {','.join(sides)}"] = theta(spec)
     values["zero"] = zero()
     values["odd atoms, 10**5000"] = BasedComplex(
         {0: odd, 1: [("e",)]},
@@ -518,6 +530,36 @@ def test_cli_verify_retract_theta_of_many_disks(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error [SIZE_LIMIT]: complex with ")
+
+
+@pytest.mark.parametrize("count", [492, 5000])
+def test_cli_gen_theta_refuses_deep_names(count, capsys):
+    """Disk 0 of ``count`` one-disks would nest its edge ``count + 1`` deep."""
+    dims = ",".join(["1"] * count)
+    glue = ",".join(["0"] * (count - 1))
+    assert main(["gen", "theta", dims, "--glue", glue]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error [NAME_DEPTH]: name nested 493 levels deep, past the bound of 492\n"
+    )
+
+
+def test_cli_gen_theta_counts_the_glued_complex(monkeypatch, capsys):
+    """30 one-disks glued at vertices have 61 generators; the limit is
+    checked on that count, not on a larger intermediate complex."""
+    dims, glue = ",".join(["1"] * 30), ",".join(["0"] * 29)
+    monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", "61")
+    assert main(["gen", "theta", dims, "--glue", glue]) == 0
+    assert parse(capsys.readouterr().out).size == 61
+    monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", "60")
+    assert main(["gen", "theta", dims, "--glue", glue]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error [SIZE_LIMIT]: complex with 61 generators exceeds"
+        " STEINERLAB_MAX_GENERATORS\n"
+    )
 
 
 def test_cli_theta_glue_and_sides(capsys):

@@ -125,6 +125,12 @@ def test_gen_wedge_loads_no_colimits():
     assert _loaded(_cli_call(argv)) == GEN_MODULES
 
 
+def test_gen_theta_loads_no_colimits():
+    # A theta is glued by renaming its disks, without a pushout.
+    argv = ["gen", "theta", "2,1,2", "--glue", "1,1"]
+    assert _loaded(_cli_call(argv)) == GEN_MODULES
+
+
 def test_acceptance_loads_every_library_module():
     # The benchmark worker imports acceptance before it patches the modules
     # it finds loaded, so every module with a traced function must be here.

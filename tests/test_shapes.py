@@ -17,6 +17,7 @@ from steinerlab import (
     disk_inclusion,
     dual_co,
     dual_op,
+    emit,
     equal_presentation,
     graded_counts,
     gray_tensor,
@@ -40,7 +41,7 @@ from steinerlab.names import MAX_NAME_DEPTH
 from steinerlab.shapes import EmptyComplexError, disk_top_gen
 from steinerlab.steiner import is_steiner
 
-from retract_oracle import wedge_pushout
+from retract_oracle import theta_pushout, wedge_pushout
 
 
 def test_basic_cells():
@@ -171,6 +172,18 @@ def test_theta_random_specs_validate():
         t = theta(spec)
         assert validate_complex(t).passed
         assert is_steiner(t).passed
+
+
+def test_theta_matches_the_pushout_oracle():
+    """Equal complexes and equal ``emit`` bytes on 1200 seeded specs, half
+    with arbitrary sides, half composable."""
+    rng = random.Random(1401)
+    for i in range(1200):
+        spec = random_theta_spec(rng, max_dim=4, max_disks=6, composable=i % 2 == 1)
+        expected = theta_pushout(spec)
+        got = theta(spec)
+        assert got == expected, spec
+        assert emit(got) == emit(expected), spec
 
 
 def test_wedge_examples():
