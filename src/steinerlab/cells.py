@@ -15,6 +15,7 @@ from .core import (
     CheckItem,
     CheckReport,
     SteinerlabError,
+    _new_object,
     _Record,
     _set_field,
     report,
@@ -86,28 +87,27 @@ def validate_table(t: CellTable) -> CheckReport:
     )
 
 
-def source(t: CellTable, k: int) -> CellTable:
-    """Truncate at level k with the minus entry on top."""
+def _truncated(t: CellTable, k: int, minus: tuple, plus: tuple) -> CellTable:
+    """The level-``k`` table over ``t``'s complex from ``t``'s own entries,
+    whose degrees need no check.  Callers slice, so a bad ``k`` gets here."""
     if not (0 <= k <= t.dim):
         raise BadLevelError(f"level {k} out of range 0..{t.dim}")
-    return CellTable(
-        t.ambient,
-        k,
-        t.minus[: k + 1],
-        t.plus[:k] + (t.minus[k],),
-    )
+    table = _new_object(CellTable)
+    _set_field(table, "ambient", t.ambient)
+    _set_field(table, "dim", k)
+    _set_field(table, "minus", minus)
+    _set_field(table, "plus", plus)
+    return table
+
+
+def source(t: CellTable, k: int) -> CellTable:
+    """Truncate at level k with the minus entry on top."""
+    return _truncated(t, k, t.minus[: k + 1], t.plus[:k] + t.minus[k : k + 1])
 
 
 def target(t: CellTable, k: int) -> CellTable:
     """Truncate at level k with the plus entry on top."""
-    if not (0 <= k <= t.dim):
-        raise BadLevelError(f"level {k} out of range 0..{t.dim}")
-    return CellTable(
-        t.ambient,
-        k,
-        t.minus[:k] + (t.plus[k],),
-        t.plus[: k + 1],
-    )
+    return _truncated(t, k, t.minus[:k] + t.plus[k : k + 1], t.plus[: k + 1])
 
 
 def identity_table(t: CellTable) -> CellTable:

@@ -8,6 +8,7 @@ from steinerlab import (
     chain_of,
     compose_tables,
     cube,
+    disk,
     identity_table,
     is_degenerate,
     oriental,
@@ -63,6 +64,27 @@ def test_source_target_truncation():
     assert source(t, t.dim) == t
     with pytest.raises(BadLevelError):
         source(t, 5)
+
+
+def test_truncations_equal_checked_tables():
+    """``source``/``target`` skip the constructor's degree checks; the tables
+    they return equal the ones the public constructor builds and checks."""
+    for c in (cube(3), oriental(4), disk(3)):
+        for _, g in c.all_generators():
+            t = atom_table(c, g)
+            for k in range(t.dim + 1):
+                expected_source = CellTable(c, k, t.minus[: k + 1], t.plus[:k] + (t.minus[k],))
+                expected_target = CellTable(c, k, t.minus[:k] + (t.plus[k],), t.plus[: k + 1])
+                assert source(t, k) == expected_source
+                assert target(t, k) == expected_target
+            for bad in (-1, t.dim + 1):
+                for truncate in (source, target):
+                    with pytest.raises(BadLevelError):
+                        truncate(t, bad)
+    # the public constructor still refuses an entry of the wrong degree
+    t = atom_table(oriental(2), ("0", "1", "2"))
+    with pytest.raises(BadLevelError, match="level-1 entry has the wrong degree"):
+        CellTable(t.ambient, 1, t.minus[:1] + t.minus[2:], t.plus[:2])
 
 
 def test_globularity():

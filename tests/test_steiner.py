@@ -288,7 +288,7 @@ def test_report_text_is_pinned():
     )
 
 
-def test_is_steiner_builds_each_atom_table_once(monkeypatch):
+def test_is_steiner_builds_no_atom_table(monkeypatch):
     from steinerlab import steiner
 
     built = []
@@ -299,6 +299,24 @@ def test_is_steiner_builds_each_atom_table_once(monkeypatch):
         return real(c, b)
 
     monkeypatch.setattr(steiner, "atom_table", counted)
-    c = cube(4)
-    assert is_steiner(c).passed
-    assert len(built) == len(set(built)) == c.size
+    for c in (cube(4), oriental(5)):
+        assert is_steiner(c).passed
+    assert built == []
+
+
+def test_one_sided_walk_matches_two_sided_atoms():
+    """Past validation, ``is_steiner`` reads only the plus side of each atom:
+    its ``UNITALITY`` item is :func:`unitality_check`'s, and each generator's
+    one-sided floor is the plus entry at level zero of its atom table."""
+    from steinerlab.steiner import _plus_floor
+
+    non_unital = 0
+    for c in _differential_corpus():
+        if not validate_complex(c).passed:
+            continue
+        (expected,) = unitality_check(c).checks
+        assert [i for i in is_steiner(c).checks if i.name == "UNITALITY"] == [expected]
+        non_unital += not expected.passed
+        for _, b in c.all_generators():
+            assert _plus_floor(c, b) == atom_table(c, b).plus[0]
+    assert non_unital
