@@ -68,7 +68,11 @@ def golden_values() -> dict:
     values["wedge oriental2.2 cube2.00"] = w
     values["wedge oriental2.2 cube2.00 left leg"] = left
     values["wedge oriental2.2 cube2.00 right leg"] = right
-    for dims, glue in (((2, 1, 2), (1, 1)), ((1, 1, 1), (0, 0))):
+    for dims, glue in (
+        ((2, 1, 2), (1, 1)),
+        ((1, 1, 1), (0, 0)),
+        ((3, 3, 3, 3), (0, 2, 1)),
+    ):
         spec = ThetaSpec(dims, glue, (("target", "source"),) * len(glue))
         pair = theta_retract_into_oriental(spec)
         label = f"theta_retract {','.join(map(str, dims))} | {','.join(map(str, glue))}"

@@ -211,6 +211,24 @@ def test_theta_retract_examples():
     assert pair.retract.source == oriental(2)
 
 
+@pytest.mark.parametrize(
+    "dims, glue",
+    [
+        ((2, 2, 2), (0, 1)),
+        ((3, 2, 3), (1, 0)),
+        ((2, 3, 3, 2), (1, 2, 0)),
+        ((1, 2, 2, 1), (0, 1, 0)),
+        ((3, 3, 3, 3), (0, 2, 1)),
+    ],
+)
+def test_theta_retract_of_nested_blocks(dims, glue):
+    """A disk glued above the lowest glue level joins the block before it."""
+    spec = ThetaSpec(dims, glue, (("target", "source"),) * len(glue))
+    pair = theta_retract_into_oriental(spec)
+    assert pair.verify().passed
+    assert pair.retract.source == oriental(sum(dims) - sum(glue))
+
+
 def test_theta_retract_rejects_non_pasting():
     spec = ThetaSpec((1, 1), (0,), (("source", "source"),))
     with pytest.raises(UnsupportedSpecError):
