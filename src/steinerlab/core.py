@@ -71,13 +71,29 @@ def max_generators() -> int:
         raise SizeLimitError(f"bad STEINERLAB_MAX_GENERATORS value {raw!r}") from exc
 
 
+# A total of more bits than this is reported by its leading power of two.
+_EXACT_TOTAL_BITS = 100
+
+
 def check_size(total: int) -> None:
     """Refuse a complex of ``total`` generators over the limit, before it is built."""
     if total > max_generators():
-        raise SizeLimitError(
-            f"complex with {_int_to_text(total)} generators exceeds"
-            " STEINERLAB_MAX_GENERATORS"
-        )
+        bits = total.bit_length()
+        count = str(total) if bits <= _EXACT_TOTAL_BITS else f"at least 2**{bits - 1}"
+        _refuse_size(count)
+
+
+def _check_size_at_least(bits: int) -> None:
+    """Refuse a complex of at least ``2**bits`` generators from ``bits`` alone,
+    when that bound passes the limit and its total would not print exactly."""
+    if bits >= max(_EXACT_TOTAL_BITS, max_generators().bit_length()):
+        _refuse_size(f"at least 2**{bits}")
+
+
+def _refuse_size(count: str) -> None:
+    raise SizeLimitError(
+        f"complex with {count} generators exceeds STEINERLAB_MAX_GENERATORS"
+    )
 
 
 def _int_to_text(value: int) -> str:
@@ -543,6 +559,12 @@ class ComplexMap:
                         f" generator {render_name(min(stray, key=name_key))}"
                     )
                 asg[g] = chain
+        if len(assignment) > len(asg):
+            extra = [check_name(g) for g in assignment if g not in asg]
+            raise MalformedError(
+                "assignment for unknown generator"
+                f" {render_name(min(extra, key=name_key))}"
+            )
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "assignment", asg)

@@ -51,16 +51,22 @@ def name_depth(name: object) -> int:
 
 def _check_parts(name: object, depth: int) -> int:
     if not isinstance(name, tuple) or not name:
-        raise TypeError(f"generator name must be a non-empty tuple, got {name!r}")
+        _malformed(f"generator name must be a non-empty tuple, got {name!r}")
     check_depth(depth)
     deepest = depth
     for part in name:
         if isinstance(part, str):
             if not part or _RESERVED & set(part):
-                raise TypeError(f"bad name atom {part!r} in {name!r}")
+                _malformed(f"bad name atom {part!r} in {name!r}")
         else:
             deepest = max(deepest, _check_parts(part, depth + 1))
     return deepest
+
+
+def _malformed(message: str) -> None:
+    from .core import MalformedError  # core imports this module first
+
+    raise MalformedError(message)
 
 
 def name_key(name: Name):

@@ -26,6 +26,7 @@ from .core import (
     BasedComplex,
     Chain,
     ComplexMap,
+    MalformedError,
     _adopt,
     _Canonical,
     basis_renaming_map,
@@ -169,7 +170,7 @@ def cube_selfduality(n: int, which: str) -> ComplexMap:
     from .shapes import cube  # local import: shapes builds on ops
 
     if which not in ("op", "co"):
-        raise ValueError(f"which must be 'op' or 'co', got {which!r}")
+        raise MalformedError(f"which must be 'op' or 'co', got {which!r}")
     source = cube(n)
     dual = dual_op(source) if which == "op" else dual_co(source)
     flip = {"0": "1", "1": "0", "i": "i"} if which == "op" else None

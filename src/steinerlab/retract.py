@@ -4,11 +4,15 @@ suspensions, and wedges.
 Everything here is constructive: each operation returns concrete maps whose
 defining identities (section/retraction composites, quotient triangles) are
 exact integer matrix equations, re-verified by the test battery.  The
-cube-to-oriental comparison :func:`xi` and its section are closed forms on
-cube words and vertex subsets, and so is :func:`section_q_cube`.  Theta
+cube-to-oriental comparison :func:`xi`, its section, :func:`section_q_cube`
+and the oriental suspension section :func:`section_ell` are closed forms;
+the last two build their target first, so an oversized one is refused at
+once.  Theta
 retracts wedge the retracts of the spec's blocks at its lowest glue level
-left to right and suspend the result, recursing once per glue level.  The
-comparison and the sections memoize by dimension.
+left to right and suspend the result through :func:`section_ell`, recursing
+once per glue level and never leaving the orientals; the target oriental is
+built before the fold.  The comparison and the sections memoize by
+dimension.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .core import (
 from .names import Name
 from .ops import gray_tensor, gray_tensor_map, join, suspension, suspension_map
 from .shapes import (
-    BadDimsError,
     ThetaSpec,
     _cube_word,
     cube,
@@ -71,12 +74,6 @@ class RetractionPair(_Record):
             CheckItem("COMPOSITE_IDENTITY", round_trip),
             CheckItem("SPLITTING_IDEMPOTENT", idem_ok),
         )
-
-
-def _check_dim(what: str, n: int) -> None:
-    """Refuse a negative dimension before a recursion on ``n`` starts."""
-    if n < 0:
-        raise BadDimsError(f"{what} dimension must be >= 0, got {n}")
 
 
 # -- small renaming isomorphisms ----------------------------------------------
@@ -204,7 +201,7 @@ def section_q_cube(n: int) -> RetractionPair:
     ``p`` after its last ``i``, hold ``i`` at ``p`` and then repeat the
     letter of ``0``, ``1`` that ``w`` does not have at ``p``.
     """
-    source = suspension(cube(n))
+    target = cube(n + 1)
     assignment: dict[Name, Chain] = {
         ("b0",): chain_of(0, ("0" * (n + 1),)),
         ("b1",): chain_of(0, ("1" * (n + 1),)),
@@ -215,7 +212,8 @@ def section_q_cube(n: int) -> RetractionPair:
         for p in range(w.rfind("i") + 1, n):
             words.append(w[:p] + "i" + ("1" if w[p] == "0" else "0") * (n - p))
         assignment[("s", g)] = Chain(deg + 1, {(word,): 1 for word in words})
-    return RetractionPair(ComplexMap(source, cube(n + 1), assignment), q_cube(n))
+    embed = ComplexMap(suspension(cube(n)), target, assignment)
+    return RetractionPair(embed, q_cube(n))
 
 
 # -- cube-to-oriental comparison ------------------------------------------------
@@ -229,7 +227,6 @@ def xi(n: int) -> ComplexMap:
     goes to the vertex subset of its ``i`` positions (counting from 1) and
     the position of its last ``1``, or ``0`` if it has none.
     """
-    _check_dim("xi", n)
     assignment: dict[Name, Chain] = {}
     for deg, g in cube(n).all_generators():
         w = _cube_word(g)
@@ -251,7 +248,6 @@ def section_xi(n: int) -> RetractionPair:
     in each gap ``(s_a, s_(a+1)]``, anywhere in it, with ``0`` before it and
     ``1`` after it within the gap.
     """
-    _check_dim("xi", n)
     assignment: dict[Name, Chain] = {}
     for deg, g in oriental(n).all_generators():
         s = [int(v) for v in g]
@@ -335,10 +331,18 @@ def ell_oriental(n: int) -> ComplexMap:
 
 @lru_cache(maxsize=None)
 def section_ell(n: int) -> RetractionPair:
-    """Section of :func:`ell_oriental` composed out of the cube sections."""
-    _check_dim("ell", n)
-    lift = suspension_map(section_xi(n).embed)
-    embed = compose(compose(lift, section_q_cube(n).embed), xi(n + 1))
+    """Section of :func:`ell_oriental`, built target first: the poles go to
+    the vertices ``0`` and ``n+1``, and ``s.S`` for ``S = s_0 < ... < s_k``
+    to ``S`` with ``n+1`` added plus ``s_0, ..., s_(k-1), t, t+1`` for each
+    ``t`` strictly between ``s_(k-1)`` (``-1`` when ``k = 0``) and ``s_k``."""
+    target, top = oriental(n + 1), str(n + 1)
+    assignment = {("b0",): chain_of(0, ("0",)), ("b1",): chain_of(0, (top,))}
+    for deg, g in oriental(n).all_generators():
+        terms = {(*g, top): 1}
+        for t in range(int(g[-2]) + 1 if deg else 0, int(g[-1])):
+            terms[(*g[:-1], str(t), str(t + 1))] = 1
+        assignment[("s", g)] = Chain(deg + 1, terms)
+    embed = ComplexMap(suspension(oriental(n)), target, assignment)
     return RetractionPair(embed, ell_oriental(n))
 
 
@@ -409,6 +413,20 @@ def theta_left_inverse(n: int, m: int) -> ComplexMap:
 # -- retracts of theta objects ----------------------------------------------------
 
 
+def _wedge_map(source, target, point, f1, leg1, f2, leg2) -> ComplexMap:
+    """The map out of the wedge ``source``: ``f1`` then ``leg1`` on the left
+    part, whose basepoint is ``point``, and ``f2`` then ``leg2`` on the right."""
+    assignment: dict[Name, Chain] = {}
+    for _, g in source.all_generators():
+        if g == ("w0",):
+            assignment[g] = leg1(f1.of_gen(point))
+        elif g[0] == "wl":
+            assignment[g] = leg1(f1.of_gen(g[1]))
+        else:
+            assignment[g] = leg2(f2.of_gen(g[1]))
+    return ComplexMap(source, target, assignment)
+
+
 def _wedge_retracts(first, second):
     """Wedge two retracts, each ``(complex, left point, right point, embed,
     retract)``, at the first's right and the second's left point."""
@@ -417,27 +435,8 @@ def _wedge_retracts(first, second):
     n1, n2 = e1.target.top_degree, e2.target.top_degree
     w, lam1, lam2 = wedge_with_legs(obj1, r1, obj2, l2)
     wd, mu1, mu2 = _oriental_wedge(n1, n2)
-
-    embed_assignment: dict[Name, Chain] = {}
-    for deg, g in w.all_generators():
-        if g == ("w0",):
-            embed_assignment[g] = mu1(e1.of_gen(r1))
-        elif g[0] == "wl":
-            embed_assignment[g] = mu1(e1.of_gen(g[1]))
-        else:
-            embed_assignment[g] = mu2(e2.of_gen(g[1]))
-    wedge_embed = ComplexMap(w, wd, embed_assignment)
-
-    retract_assignment: dict[Name, Chain] = {}
-    for deg, g in wd.all_generators():
-        if g == ("w0",):
-            retract_assignment[g] = lam1(rt1.of_gen((str(n1),)))
-        elif g[0] == "wl":
-            retract_assignment[g] = lam1(rt1.of_gen(g[1]))
-        else:
-            retract_assignment[g] = lam2(rt2.of_gen(g[1]))
-    wedge_retract = ComplexMap(wd, w, retract_assignment)
-
+    wedge_embed = _wedge_map(w, wd, r1, e1, mu1, e2, mu2)
+    wedge_retract = _wedge_map(wd, w, (str(n1),), rt1, lam1, rt2, lam2)
     new_embed = compose(wedge_embed, zeta(n1, n2))
     new_retract = compose(theta_left_inverse(n1, n2), wedge_retract)
     left = sole_generator(lam1(chain_of(0, l1)))
@@ -484,5 +483,6 @@ def theta_retract_into_oriental(spec: ThetaSpec) -> RetractionPair:
             "theta spec is not a suspension/wedge pasting: every gluing must"
             " be target-into-left, source-into-right"
         )
+    oriental(sum(spec.dims) - sum(spec.glue))  # the fold's target, refused first
     _, _, _, embed, retract = _theta_retract(list(spec.dims), list(spec.glue))
     return RetractionPair(embed, retract)

@@ -27,6 +27,7 @@ from .core import (
     _Canonical,
     _Record,
     _adopt,
+    _check_size_at_least,
     _glued,
     _set_field,
     basis_renaming_map,
@@ -175,6 +176,7 @@ def cube(n: int) -> BasedComplex:
     """
     if n < 0:
         raise BadDimsError(f"cube dimension must be >= 0, got {n}")
+    _check_size_at_least(n)  # 3**n >= 2**n, refused before the power is taken
     check_size(3**n)
     if n == 0:
         return unit()
@@ -212,6 +214,7 @@ def oriental(n: int) -> BasedComplex:
     """The n-oriental: subsets of {0..n} as basis, alternating face sums."""
     if n < 0:
         raise BadDimsError(f"oriental dimension must be >= 0, got {n}")
+    _check_size_at_least(n)  # 2**(n+1) - 1 >= 2**n
     check_size(2 ** (n + 1) - 1)
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
@@ -402,7 +405,20 @@ def _subset_skip(name: Name, skip: int) -> Name:
 
 
 def _decomposition_data(family: str, n: int):
-    """The parallel pair over coproducts of faces, plus the comparison cocone."""
+    """The parallel pair over coproducts of faces, plus the comparison cocone.
+
+    The sizes of the shape and of the face and double coproducts are refused,
+    in that order, from their closed forms before anything is built."""
+    if family not in ("cube", "oriental"):
+        raise MalformedError(f"unknown family {family!r}")
+    _check_size_at_least(n)
+    if family == "cube":
+        sizes = (3**n, 2 * n * 3 ** (n - 1), 2 * n * (n - 1) * 3 ** (n - 2))
+    else:
+        sizes = (2 ** (n + 1) - 1, (n + 1) * (2**n - 1))
+        sizes += (n * (n + 1) // 2 * (2 ** (n - 1) - 1),)
+    for total in sizes:
+        check_size(total)
     if family == "cube":
         shape = cube(n)
         faces = [
@@ -427,7 +443,7 @@ def _decomposition_data(family: str, n: int):
         def face_into_shape(tag, g):
             return (_word_insert(_cube_word(g), int(tag[0]), tag[1]),)
 
-    elif family == "oriental":
+    else:
         shape = oriental(n)
         faces = [((str(i),), oriental(n - 1)) for i in range(n + 1)]
         doubles = [
@@ -447,8 +463,6 @@ def _decomposition_data(family: str, n: int):
         def face_into_shape(tag, g):
             return _subset_skip(g, int(tag[0]))
 
-    else:
-        raise MalformedError(f"unknown family {family!r}")
     return shape, faces, doubles, into_first, into_second, face_into_shape
 
 

@@ -1,7 +1,8 @@
-"""The recursive cube sections and the pushout wedge and theta, kept as the
-oracles for the closed forms of :func:`steinerlab.retract.xi`,
-:func:`steinerlab.retract.section_xi`,
-:func:`steinerlab.retract.section_q_cube` and for the direct
+"""The recursive cube sections, the composite oriental suspension section
+and the pushout wedge and theta, kept as the oracles for the closed forms of
+:func:`steinerlab.retract.xi`, :func:`steinerlab.retract.section_xi`,
+:func:`steinerlab.retract.section_q_cube`,
+:func:`steinerlab.retract.section_ell` and for the direct
 :func:`steinerlab.shapes.wedge_with_legs` and :func:`steinerlab.shapes.theta`.
 
 ``xi_recursive(n)`` tensors the previous comparison with the interval and
@@ -10,10 +11,13 @@ previous section through :func:`section_p_oriental`, which carries the
 section of the left-sided cone quotient across the op dualities.
 ``section_q_cube_recursive(n)`` lifts the previous section through the
 suspension comparison :func:`steinerlab.retract.phi_map`.
+``section_ell_composite(n)`` runs through ``cube(n+1)``: the suspended
+section of ``xi(n)``, then the section of the cube quotient, then ``xi(n+1)``.
 ``wedge_pushout`` glues at the marked vertices by a pushout and renames the
 result; ``theta_pushout`` glues the disks of a theta spec by one pushout
 each.  Nothing here shares code with the closed forms beyond the shapes
-themselves.
+themselves, except that ``section_ell_composite`` composes the cube
+sections, each checked against its own recursion.
 """
 
 from __future__ import annotations
@@ -47,10 +51,15 @@ from steinerlab.ops import (
     swap_iso_op,
 )
 from steinerlab.retract import (
+    RetractionPair,
     _cube_word_name,
     _shift_subset,
     e_s_kappa,
+    ell_oriental,
     phi_map,
+    section_q_cube,
+    section_xi,
+    xi,
 )
 from steinerlab.shapes import (
     ThetaSpec,
@@ -198,6 +207,15 @@ def section_q_cube_recursive(n: int) -> ComplexMap:
     lift = gray_tensor_map(identity_map(interval()), section_q_cube_recursive(n - 1))
     merge = invert_basis_bijection(split_first_letter(n + 1))
     return compose(compose(compose(split, phi), lift), merge)
+
+
+@lru_cache(maxsize=None)
+def section_ell_composite(n: int) -> RetractionPair:
+    """Section of :func:`steinerlab.retract.ell_oriental` composed out of the
+    cube sections."""
+    lift = suspension_map(section_xi(n).embed)
+    embed = compose(compose(lift, section_q_cube(n).embed), xi(n + 1))
+    return RetractionPair(embed, ell_oriental(n))
 
 
 def wedge_pushout(

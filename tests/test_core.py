@@ -24,6 +24,7 @@ from steinerlab import (
     zero,
 )
 from steinerlab.core import SizeLimitError
+from steinerlab.ops import cube_selfduality
 from steinerlab.retract import q2, s2
 
 
@@ -181,3 +182,32 @@ def test_generator_cap(monkeypatch):
         BasedComplex({0: [(str(i),) for i in range(6)]}, {}, {(str(i),): 1 for i in range(6)})
     monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", "10")
     BasedComplex({0: [(str(i),) for i in range(6)]}, {}, {(str(i),): 1 for i in range(6)})
+
+
+def test_map_refuses_assignments_off_its_source():
+    assignment = {
+        ("u",): chain_of(0, ("u",)),
+        ("zzz",): chain_of(5, ("nope",)),
+        ("yyy",): chain_of(0, ("u",)),
+    }
+    with pytest.raises(MalformedError, match="^assignment for unknown generator yyy$"):
+        ComplexMap(unit(), unit(), assignment)
+    with pytest.raises(MalformedError, match="^generator name must be a non-empty"):
+        ComplexMap(unit(), unit(), {**assignment, 5: chain_of(0, ("u",))})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BasedComplex({0: ["a"]}, {}, {"a": 1}),
+         "generator name must be a non-empty tuple, got 'a'"),
+        (lambda: BasedComplex({0: [("a.b",)]}, {}, {("a.b",): 1}),
+         "bad name atom 'a.b' in ('a.b',)"),
+        (lambda: cube_selfduality(2, "x"), "which must be 'op' or 'co', got 'x'"),
+    ],
+    ids=["plain string name", "reserved character", "unknown duality"],
+)
+def test_bad_library_arguments_are_coded_errors(build, message):
+    with pytest.raises(MalformedError) as err:
+        build()
+    assert str(err.value) == message and err.value.code == "MALFORMED"

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -451,21 +452,50 @@ def test_cli_name_arguments(argv, good, capsys):
     capsys.readouterr()
 
 
+_HASH_SEED_COMMANDS = [
+    "suite --json",
+    "check steiner cube:4",
+    "atoms --json oriental:3",
+    "gen theta 2,1,2 --glue 1,1",
+    "check --json boundary-decomp cube 4",
+    "op tensor cube:2 oriental:3",
+    "op join oriental:2 disk:2",
+    "gen disk 40",
+    "gen disk 300",
+    "gen boundary-disk 300",
+    "info --json oriental:4",
+    "verify-retract xi 3",
+    "verify-retract ell 3",
+    "verify-retract xi 4 --json",
+    "verify-retract q-cube 4 --json",
+    "gen wedge oriental:2 2 cube:2 00",
+    "verify-retract theta 2,1,2 --glue 1,1 --json",
+    "verify-retract theta 3,3,3,3 --glue 0,2,1 --json",
+    "gen theta 2,2 --glue 1 --sides st",
+    "gen theta " + ",".join(["1"] * 100) + " --glue " + ",".join(["0"] * 99),
+    "check steiner oriental:7",
+    "check --json steiner antioriental:5",
+    "atoms --json cube:3",
+]
+
+
 def test_cli_stdout_does_not_depend_on_hash_seed():
-    """Set iteration order follows the hash seed; no stdout byte may."""
+    """Set iteration order follows the hash seed; no stdout byte may.  Each
+    command's two seeds run side by side."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    commands = (["suite", "--json"], ["check", "steiner", "cube:4"], ["atoms", "--json", "oriental:3"])
-    for argv in commands:
-        outs = [
-            subprocess.run(
-                [sys.executable, "-m", "steinerlab.cli", *argv],
+    for command in _HASH_SEED_COMMANDS:
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "steinerlab.cli", *command.split()],
                 env={**env, "PYTHONHASHSEED": seed},
-                capture_output=True,
-                check=True,
-            ).stdout
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
             for seed in ("0", "1")
         ]
-        assert outs[0] == outs[1], argv
+        outs = [run.communicate() for run in runs]
+        assert [run.returncode for run in runs] == [0, 0], (command, outs[0][1])
+        assert outs[0][0] == outs[1][0], command
 
 
 def _wrong_json_types():
@@ -514,13 +544,89 @@ def test_cli_refuses_oversized_results_before_building(capsys):
         # dimensions deeper than the interpreter's recursion limit
         ["verify-retract", "xi", "2000"],
         ["verify-retract", "ell", "5000"],
+        # dimensions whose counts alone would take seconds to compute and print
+        ["gen", "cube", "20000000"],
+        ["gen", "oriental", "20000000"],
+        ["verify-retract", "xi", "20000000"],
+        ["verify-retract", "q-cube", "20000000"],
+        ["verify-retract", "ell", "20000000"],
+        ["check", "boundary-decomp", "cube", "20000000"],
+        # the 491-disk sits in oriental(491), a count of 149 digits
+        ["verify-retract", "theta", "491"],
+        ["verify-retract", "theta", "16"],
     ],
 )
 def test_cli_refuses_huge_dimensions_by_size(argv, capsys):
+    start = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error [SIZE_LIMIT]: complex with ")
+    assert len(captured.err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        # the face coproduct, 2n 3^(n-1), past the limit while cube(9) is not
+        (["check", "boundary-decomp", "cube", "9"], 118098),
+        # the target cube(11), past the limit while the suspended cube(10) is not
+        (["verify-retract", "q-cube", "10"], 177147),
+    ],
+)
+def test_cli_refuses_cube_pipelines_by_count(argv, count, monkeypatch, capsys):
+    from steinerlab import core, shapes
+
+    def refuse(*args):
+        raise AssertionError("built a coproduct")
+
+    monkeypatch.setattr(core, "coproduct", refuse)
+    monkeypatch.setattr(shapes, "coproduct", refuse)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        f"error [SIZE_LIMIT]: complex with {count} generators exceeds"
+        " STEINERLAB_MAX_GENERATORS\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, n, shape, faces, doubles",
+    [
+        ("cube", 5, 243, 810, 1080),
+        ("oriental", 4, 31, 75, 70),
+        ("oriental", 6, 127, 441, 651),
+    ],
+)
+def test_boundary_decomposition_counts_its_coproducts(
+    family, n, shape, faces, doubles, monkeypatch, capsys
+):
+    """The closed-form counts are the built sizes, the largest is the limit
+    at which the check still runs, and one less refuses it unbuilt."""
+    from steinerlab import shapes
+    from steinerlab.core import coproduct
+
+    built = []
+
+    def recording(parts):
+        built.append(coproduct(parts))
+        return built[-1]
+
+    monkeypatch.setattr(shapes, "coproduct", recording)
+    largest = max(shape, faces, doubles)
+    monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", str(largest))
+    assert main(["check", "boundary-decomp", family, str(n)]) == 0
+    assert [c.size for c in built] == [faces, doubles]
+    assert capsys.readouterr().out.splitlines()[-1] == "PASSED"
+    monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", str(largest - 1))
+    monkeypatch.setattr(shapes, "coproduct", None)  # refused before it is called
+    assert main(["check", "boundary-decomp", family, str(n)]) == 2
+    assert capsys.readouterr().err == (
+        f"error [SIZE_LIMIT]: complex with {largest} generators exceeds"
+        " STEINERLAB_MAX_GENERATORS\n"
+    )
 
 
 def test_cli_verify_retract_theta_of_many_disks(monkeypatch, capsys):

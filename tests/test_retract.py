@@ -37,10 +37,13 @@ from steinerlab import (
     xi,
     zeta,
 )
+from steinerlab import retract, shapes
+from steinerlab.core import SizeLimitError
 from steinerlab.retract import ell_oriental, q_cube
 
 from retract_oracle import (
     right_cone_renaming,
+    section_ell_composite,
     section_q_cube_recursive,
     section_xi_recursive,
     split_last_letter,
@@ -172,6 +175,33 @@ def test_section_ell():
     for _, g in section_ell(0).embed.source.all_generators():
         items = section_ell(0).embed.of_gen(g).items()
         assert len(items) == 1 and items[0][1] == 1
+
+
+def test_section_ell_matches_the_composite_oracle():
+    for n in range(9):
+        assert section_ell(n) == section_ell_composite(n)
+
+
+def test_oriental_retractions_build_no_cube(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a cube")
+
+    for module, name in ((shapes, "cube"), (retract, "cube"), (retract, "xi")):
+        monkeypatch.setattr(module, name, refuse)
+    section_ell.cache_clear()
+    assert section_ell(6).verify().passed
+    spec = ThetaSpec((2, 1, 2), (1, 1), (("target", "source"),) * 2)
+    assert theta_retract_into_oriental(spec).verify().passed
+
+
+def test_theta_retract_refuses_its_target_before_folding(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("folded")
+
+    monkeypatch.setattr(retract, "_theta_retract", refuse)
+    spec = ThetaSpec((6, 5, 7), (1, 1), (("target", "source"),) * 2)
+    with pytest.raises(SizeLimitError, match="^complex with 131071 generators "):
+        theta_retract_into_oriental(spec)
 
 
 def test_zeta_theta_pairs():
