@@ -26,10 +26,8 @@ from .core import (
     CheckItem,
     CheckReport,
     ComplexMap,
-    compose,
     equal_presentation,
     graded_counts,
-    identity_map,
     invert_basis_bijection,
     report,
     validate_complex,
@@ -51,6 +49,7 @@ from .ops import (
     swap_iso_op,
 )
 from .retract import (
+    RetractionPair,
     phi_map,
     q2,
     rho_map,
@@ -275,32 +274,16 @@ def criterion_dualities() -> CheckReport:
 # -- criterion 5: retraction theorems ------------------------------------------------------
 
 
-def _is_section(embed: ComplexMap, retract: ComplexMap) -> bool:
-    """Both maps are valid and ``retract`` after ``embed`` is the identity."""
-    return (
-        validate_map(embed).passed
-        and validate_map(retract).passed
-        and compose(embed, retract) == identity_map(embed.source)
-    )
-
-
 def criterion_retractions() -> CheckReport:
-    items: list[CheckItem] = []
-    items.append(
-        CheckItem(
-            "q2 after s2 is the identity",
-            compose(s2(), q2()) == identity_map(oriental(2))
-            and validate_map(q2()).passed
-            and validate_map(s2()).passed,
-        )
-    )
+    ok = RetractionPair(s2(), q2()).verify().passed
+    items = [CheckItem("q2 after s2 is the identity", ok)]
     for label, a in [
         ("unit", unit()),
         ("interval", interval()),
         ("oriental(2)", oriental(2)),
         ("cube(2)", cube(2)),
     ]:
-        ok = _is_section(phi_map(a), rho_map(a))
+        ok = RetractionPair(phi_map(a), rho_map(a)).verify().passed
         items.append(CheckItem(f"phi sections rho:{label}", ok))
     for n in range(5):
         items.append(
@@ -313,7 +296,7 @@ def criterion_retractions() -> CheckReport:
     for total in range(5):
         for n in range(total + 1):
             m = total - n
-            ok = _is_section(zeta(n, m), theta_left_inverse(n, m))
+            ok = RetractionPair(zeta(n, m), theta_left_inverse(n, m)).verify().passed
             items.append(CheckItem(f"zeta/theta({n},{m})", ok))
     rng = random.Random(_SEED + 2)
     specs: list[ThetaSpec] = []

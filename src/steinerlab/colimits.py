@@ -242,13 +242,11 @@ def _diagonal_divisors(rows: list[dict[int, int]]) -> list[int]:
     return divisors
 
 
-def quotient_by_relations(
-    ambient: BasedComplex, relations: list[Chain]
-) -> tuple[Optional[BasedComplex], Optional[ComplexMap], Optional[tuple[int, int]], Optional[str]]:
+def quotient_by_relations(ambient: BasedComplex, relations: list[Chain]) -> PushoutResult:
     """Quotient a based complex by homogeneous relations spanning a subcomplex.
 
-    Returns ``(complex, projection, torsion_witness, reason)``; the first two
-    are ``None`` exactly when the quotient is not based.
+    A based quotient comes with the projection as both legs; otherwise the
+    result carries the torsion witness, if any, and the reason.
     """
     positions = {
         deg: {g: i for i, g in enumerate(gens)} for deg, gens in ambient.degrees.items()
@@ -273,7 +271,8 @@ def quotient_by_relations(
         if failure is not None:
             divisor, kind = failure
             witness = (degree, divisor) if kind == "torsion" else None
-            return None, None, witness, f"degree {degree}: {kind} quotient"
+            reason = f"degree {degree}: {kind} quotient"
+            return PushoutResult(None, None, None, False, witness, reason)
         resolved[degree] = elim.resolved()
 
     def project(chain: Chain) -> Chain:
@@ -304,7 +303,7 @@ def quotient_by_relations(
         quotient,
         {g: project(chain_of(deg, g)) for deg, g in ambient.all_generators()},
     )
-    return quotient, projection, None, None
+    return PushoutResult(quotient, projection, projection, True)
 
 
 def pushout(f: ComplexMap, g: ComplexMap) -> PushoutResult:
@@ -317,20 +316,16 @@ def pushout(f: ComplexMap, g: ComplexMap) -> PushoutResult:
         left = _adopt(deg, {("l", n): v for n, v in f.of_gen(c)._coeffs.items()})
         right = _adopt(deg, {("r", n): v for n, v in g.of_gen(c)._coeffs.items()})
         relations.append(left - right)
-    quotient, projection, witness, reason = quotient_by_relations(ambient, relations)
-    if quotient is None or projection is None:
-        return PushoutResult(None, None, None, False, witness, reason)
-    leg_a = ComplexMap(
-        f.target,
-        quotient,
-        {a: projection.of_gen(("l", a)) for _, a in f.target.all_generators()},
-    )
-    leg_b = ComplexMap(
-        g.target,
-        quotient,
-        {b: projection.of_gen(("r", b)) for _, b in g.target.all_generators()},
-    )
-    return PushoutResult(quotient, leg_a, leg_b, True)
+    result = quotient_by_relations(ambient, relations)
+    if not result.based:
+        return result
+    quotient, projection = result.complex, result.leg_a
+
+    def leg(part: BasedComplex, tag: str) -> ComplexMap:
+        images = {x: projection.of_gen((tag, x)) for _, x in part.all_generators()}
+        return ComplexMap(part, quotient, images)
+
+    return PushoutResult(quotient, leg(f.target, "l"), leg(g.target, "r"), True)
 
 
 def coequalizer(f: ComplexMap, g: ComplexMap) -> PushoutResult:
@@ -340,10 +335,7 @@ def coequalizer(f: ComplexMap, g: ComplexMap) -> PushoutResult:
     relations = [
         f.of_gen(c) - g.of_gen(c) for _, c in f.source.all_generators()
     ]
-    quotient, projection, witness, reason = quotient_by_relations(f.target, relations)
-    if quotient is None or projection is None:
-        return PushoutResult(None, None, None, False, witness, reason)
-    return PushoutResult(quotient, projection, projection, True)
+    return quotient_by_relations(f.target, relations)
 
 
 def induced_from_pushout(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import re
+from functools import lru_cache, wraps
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
@@ -86,7 +87,7 @@ def check_size(total: int) -> None:
 def _check_size_at_least(bits: int) -> None:
     """Refuse a complex of at least ``2**bits`` generators from ``bits`` alone,
     when that bound passes the limit and its total would not print exactly."""
-    if bits >= max(_EXACT_TOTAL_BITS, max_generators().bit_length()):
+    if bits >= _EXACT_TOTAL_BITS and bits >= max_generators().bit_length():
         _refuse_size(f"at least 2**{bits}")
 
 
@@ -94,6 +95,24 @@ def _refuse_size(count: str) -> None:
     raise SizeLimitError(
         f"complex with {count} generators exceeds STEINERLAB_MAX_GENERATORS"
     )
+
+
+def _sized_memo(refuse: Callable[[int], None]):
+    """Memoize a builder of one dimension behind ``refuse(n)``, which runs on
+    every call, a memo hit included, so a limit lowered later still holds."""
+
+    def decorate(build):
+        memo = lru_cache(maxsize=None)(build)
+
+        @wraps(build)
+        def sized(n: int):
+            refuse(n)
+            return memo(n)
+
+        sized.cache_clear = memo.cache_clear
+        return sized
+
+    return decorate
 
 
 def _int_to_text(value: int) -> str:
@@ -345,7 +364,8 @@ class BasedComplex:
     """Finitely based augmented directed complex.
 
     ``degrees`` maps each non-empty degree to its canonically sorted basis,
-    ``diff`` gives the differential of every generator of positive degree,
+    ``diff`` gives the differential of every generator of positive degree
+    (a missing one is refused; a zero one is the zero chain),
     ``aug`` the augmentation of every degree-zero generator.  Construction
     checks structural well-formedness only; run :func:`validate_complex`
     for the chain-complex axioms.  A basis given as a plain iterable has its
@@ -411,7 +431,7 @@ class BasedComplex:
             if degree >= 1:
                 for g in gens:
                     if g not in diff_map:
-                        diff_map[g] = _adopt(degree - 1, {})
+                        raise MalformedError(f"missing differential for {render_name(g)}")
         aug_map: dict[Name, int] = {}
         for g in deg_map.get(0, ()):
             value = aug.get(g)
@@ -719,7 +739,7 @@ def equal_presentation(a: BasedComplex, b: BasedComplex) -> bool:
     if graded_counts(a) != graded_counts(b):
         return False
     table = {x: y for (_, x), (_, y) in zip(a.all_generators(), b.all_generators())}
-    return a.renamed(table.__getitem__) == b
+    return _glued([(a, table)]) == b
 
 
 def verify_mutually_inverse(f: ComplexMap, g: ComplexMap) -> CheckReport:

@@ -6,13 +6,15 @@ defining identities (section/retraction composites, quotient triangles) are
 exact integer matrix equations, re-verified by the test battery.  The
 cube-to-oriental comparison :func:`xi`, its section, :func:`section_q_cube`
 and the oriental suspension section :func:`section_ell` are closed forms;
-the last two build their target first, so an oversized one is refused at
-once.  Theta
-retracts wedge the retracts of the spec's blocks at its lowest glue level
-left to right and suspend the result through :func:`section_ell`, recursing
-once per glue level and never leaving the orientals; the target oriental is
-built before the fold.  The comparison and the sections memoize by
-dimension.
+the three sections build their target first, so an oversized one is
+refused at once.  Theta retracts wedge the retracts of the spec's blocks at
+its lowest glue level left to right and suspend the result through
+:func:`section_ell`, recursing once per glue level and never leaving the
+orientals; the target oriental is built before the fold, and :func:`zeta`
+and :func:`theta_left_inverse` build their big oriental before the wedge.
+Only :func:`section_ell`, which the fold reuses, and the oriental wedges
+memoize; :func:`section_ell` checks the size limit on every call, a memo
+hit included.
 """
 
 from __future__ import annotations
@@ -29,20 +31,28 @@ from .core import (
     SteinerlabError,
     _Record,
     _set_field,
+    _sized_memo,
     basis_renaming_map,
     chain_of,
     compose,
     identity_map,
-    invert_basis_bijection,
     report,
     sole_generator,
     validate_map,
 )
 from .names import Name
-from .ops import gray_tensor, gray_tensor_map, join, suspension, suspension_map
+from .ops import (
+    gray_tensor,
+    gray_tensor_map,
+    join,
+    left_p_map,
+    suspension,
+    suspension_map,
+)
 from .shapes import (
     ThetaSpec,
     _cube_word,
+    _refuse_oriental,
     cube,
     oriental,
     wedge_with_legs,
@@ -90,7 +100,6 @@ def _shift_subset(name: Name, offset: int) -> Name:
 # -- the square: quotient and section -----------------------------------------
 
 
-@lru_cache(maxsize=None)
 def q2() -> ComplexMap:
     """The quotient square -> triangle: identity on top, kill the collapsed
     edge ``i1``, merge the vertices ``01`` and ``11`` into vertex ``2``."""
@@ -109,7 +118,6 @@ def q2() -> ComplexMap:
     return ComplexMap(cube(2), o2, assignment)
 
 
-@lru_cache(maxsize=None)
 def s2() -> ComplexMap:
     """The section of :func:`q2`: the long edge goes to the two-edge path
     through the free corner, the top cells correspond."""
@@ -192,7 +200,6 @@ def q_cube(n: int) -> ComplexMap:
     return ComplexMap(source, target, assignment)
 
 
-@lru_cache(maxsize=None)
 def section_q_cube(n: int) -> RetractionPair:
     """Section of the cube-to-suspended-cube quotient.
 
@@ -219,7 +226,6 @@ def section_q_cube(n: int) -> RetractionPair:
 # -- cube-to-oriental comparison ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def xi(n: int) -> ComplexMap:
     """The comparison ``cube(n) -> oriental(n)``.
 
@@ -239,15 +245,16 @@ def xi(n: int) -> ComplexMap:
     return ComplexMap(cube(n), oriental(n), assignment)
 
 
-@lru_cache(maxsize=None)
 def section_xi(n: int) -> RetractionPair:
-    """Embed the oriental into the cube as a retract of :func:`xi`.
+    """Embed the oriental into the cube as a retract of :func:`xi`, built
+    target first.
 
     A subset ``s_0 < ... < s_k`` goes to the sum of the words that are ``1``
     up to position ``s_0`` and ``0`` after ``s_k``, and that hold one ``i``
     in each gap ``(s_a, s_(a+1)]``, anywhere in it, with ``0`` before it and
     ``1`` after it within the gap.
     """
+    target = cube(n)
     assignment: dict[Name, Chain] = {}
     for deg, g in oriental(n).all_generators():
         s = [int(v) for v in g]
@@ -257,7 +264,7 @@ def section_xi(n: int) -> RetractionPair:
             words = [w + gap for w in words for gap in gaps]
         tail = "0" * (n - s[-1])
         assignment[g] = Chain(deg, {_cube_word_name(w + tail): 1 for w in words})
-    return RetractionPair(ComplexMap(oriental(n), cube(n), assignment), xi(n))
+    return RetractionPair(ComplexMap(oriental(n), target, assignment), xi(n))
 
 
 def e_s_kappa(a: BasedComplex) -> tuple[ComplexMap, ComplexMap]:
@@ -268,45 +275,25 @@ def e_s_kappa(a: BasedComplex) -> tuple[ComplexMap, ComplexMap]:
     ``interval (x) cone(a) -> cone(cone(a))`` by placing the double apex at
     the 0 end, the base cone at the 1 end, and the joined cell over a base
     cell of ``a`` along the interval direction with a 0-end cone correction;
-    ``e`` is the composite idempotent, which collapses the 0 end by
-    augmentation onto the apex.
+    ``e`` is the quotient (:func:`~steinerlab.ops.left_p_map`) then ``s``, an
+    idempotent that collapses the 0 end by augmentation onto the apex.
     """
     cone = join(unit(), a)
-    cyl = gray_tensor(interval(), cone)
     double = join(unit(), cone)
-    apex0 = ("t", ("0",), ("jl", ("u",)))
-
-    def section_of(z: Name, degree: int) -> Chain:
-        terms = {("t", ("i",), z): 1}
-        if z[0] == "jr":
-            terms[("t", ("0",), ("j", ("u",), z[1]))] = 1
-        return Chain(degree + 1, terms)
-
-    s_assignment: dict[Name, Chain] = {}
+    assignment: dict[Name, Chain] = {}
     for deg, gen in double.all_generators():
         if gen[0] == "jl":
-            s_assignment[gen] = chain_of(0, apex0)
+            assignment[gen] = chain_of(0, ("t", ("0",), ("jl", ("u",))))
         elif gen[0] == "jr":
-            s_assignment[gen] = chain_of(deg, ("t", ("1",), gen[1]))
+            assignment[gen] = chain_of(deg, ("t", ("1",), gen[1]))
         else:
-            s_assignment[gen] = section_of(gen[2], deg - 1)
-    s = ComplexMap(double, cyl, s_assignment)
-
-    e_assignment: dict[Name, Chain] = {}
-    for deg, gen in cyl.all_generators():
-        _, v, z = gen
-        if v == ("1",):
-            e_assignment[gen] = chain_of(deg, gen)
-        elif v == ("i",):
-            e_assignment[gen] = section_of(z, deg - 1)
-        else:
-            if deg == 0:
-                eps = 1 if z[0] == "jl" else a.aug[z[1]]
-                e_assignment[gen] = Chain(0, {apex0: eps})
-            else:
-                e_assignment[gen] = Chain(deg)
-    e = ComplexMap(cyl, cyl, e_assignment)
-    return e, s
+            z = gen[2]
+            terms = {("t", ("i",), z): 1}
+            if z[0] == "jr":
+                terms[("t", ("0",), ("j", ("u",), z[1]))] = 1
+            assignment[gen] = Chain(deg, terms)
+    s = ComplexMap(double, gray_tensor(interval(), cone), assignment)
+    return compose(left_p_map(cone), s), s
 
 
 # -- sections of the oriental suspension quotient -------------------------------
@@ -329,7 +316,7 @@ def ell_oriental(n: int) -> ComplexMap:
     return ComplexMap(source, target, assignment)
 
 
-@lru_cache(maxsize=None)
+@_sized_memo(lambda n: _refuse_oriental(n + 1))  # its target, the larger
 def section_ell(n: int) -> RetractionPair:
     """Section of :func:`ell_oriental`, built target first: the poles go to
     the vertices ``0`` and ``n+1``, and ``s.S`` for ``S = s_0 < ... < s_k``
@@ -354,6 +341,15 @@ def _oriental_wedge(n: int, m: int):
     return wedge_with_legs(oriental(n), (str(n),), oriental(m), ("0",))
 
 
+def _oriental_sum(n: int, m: int) -> BasedComplex:
+    """``oriental(n + m)``, built before the smaller wedge of ``oriental(n)``
+    and ``oriental(m)``; a negative ``n`` or ``m`` is refused as itself."""
+    for side in (n, m):
+        if side < 0:
+            _refuse_oriental(side)
+    return oriental(n + m)
+
+
 def _wedge_left_name(n: int, g: Name) -> Name:
     return ("w0",) if g == (str(n),) else ("wl", g)
 
@@ -365,8 +361,8 @@ def _wedge_right_name(g: Name) -> Name:
 def zeta(n: int, m: int) -> ComplexMap:
     """The bipointed inclusion of the wedge of two orientals into the big
     oriental: left subsets stay put, right subsets shift."""
+    target = _oriental_sum(n, m)
     w, _, _ = _oriental_wedge(n, m)
-    target = oriental(n + m)
     assignment: dict[Name, Chain] = {}
     for deg, g in w.all_generators():
         if g == ("w0",):
@@ -386,8 +382,8 @@ def theta_left_inverse(n: int, m: int) -> ComplexMap:
     whichever side is a single vertex (both, for an edge), and everything
     else collapses.
     """
+    source = _oriental_sum(n, m)
     w, _, _ = _oriental_wedge(n, m)
-    source = oriental(n + m)
     assignment: dict[Name, Chain] = {}
     for deg, g in source.all_generators():
         verts = [int(v) for v in g]
@@ -428,25 +424,25 @@ def _wedge_map(source, target, point, f1, leg1, f2, leg2) -> ComplexMap:
 
 
 def _wedge_retracts(first, second):
-    """Wedge two retracts, each ``(complex, left point, right point, embed,
-    retract)``, at the first's right and the second's left point."""
-    obj1, l1, r1, e1, rt1 = first
-    obj2, l2, r2, e2, rt2 = second
+    """Wedge two retracts, each ``(left point, right point, embed, retract)``,
+    at the first's right and the second's left point."""
+    l1, r1, e1, rt1 = first
+    l2, r2, e2, rt2 = second
     n1, n2 = e1.target.top_degree, e2.target.top_degree
-    w, lam1, lam2 = wedge_with_legs(obj1, r1, obj2, l2)
+    w, lam1, lam2 = wedge_with_legs(e1.source, r1, e2.source, l2)
     wd, mu1, mu2 = _oriental_wedge(n1, n2)
     wedge_embed = _wedge_map(w, wd, r1, e1, mu1, e2, mu2)
     wedge_retract = _wedge_map(wd, w, (str(n1),), rt1, lam1, rt2, lam2)
     new_embed = compose(wedge_embed, zeta(n1, n2))
     new_retract = compose(theta_left_inverse(n1, n2), wedge_retract)
-    left = sole_generator(lam1(chain_of(0, l1)))
-    right = sole_generator(lam2(chain_of(0, r2)))
-    return w, left, right, new_embed, new_retract
+    left = sole_generator(lam1.of_gen(l1))
+    right = sole_generator(lam2.of_gen(r2))
+    return left, right, new_embed, new_retract
 
 
 def _theta_retract(dims: list[int], glues: list[int]):
-    """The retract of the theta of a composable spec, as ``(complex, left
-    point, right point, embed, retract)``.
+    """The retract of the theta of a composable spec, as ``(left point,
+    right point, embed, retract)``; the theta is the source of ``embed``.
 
     The spec splits into blocks at its lowest glue level ``mu``; the
     retracts of the blocks, every dimension lowered by ``mu``, are wedged
@@ -456,7 +452,8 @@ def _theta_retract(dims: list[int], glues: list[int]):
     if len(dims) == 1:
         mu = dims[0]
         embed = basis_renaming_map(unit(), oriental(0), lambda g: ("0",))
-        part = (unit(), ("u",), ("u",), embed, invert_basis_bijection(embed))
+        retract = basis_renaming_map(oriental(0), unit(), lambda g: ("u",))
+        part = (("u",), ("u",), embed, retract)
     else:
         mu = min(glues)
         blocks: list[tuple[list[int], list[int]]] = [([dims[0] - mu], [])]
@@ -467,13 +464,13 @@ def _theta_retract(dims: list[int], glues: list[int]):
                 blocks[-1][0].append(d - mu)
                 blocks[-1][1].append(j - mu)
         part = reduce(_wedge_retracts, (_theta_retract(*block) for block in blocks))
-    obj, left, right, embed, retract = part
+    left, right, embed, retract = part
     for _ in range(mu):
         pair = section_ell(embed.target.top_degree)
         embed = compose(suspension_map(embed), pair.embed)
         retract = compose(pair.retract, suspension_map(retract))
-        obj, left, right = suspension(obj), ("b0",), ("b1",)
-    return obj, left, right, embed, retract
+        left, right = ("b0",), ("b1",)
+    return left, right, embed, retract
 
 
 def theta_retract_into_oriental(spec: ThetaSpec) -> RetractionPair:
@@ -484,5 +481,5 @@ def theta_retract_into_oriental(spec: ThetaSpec) -> RetractionPair:
             " be target-into-left, source-into-right"
         )
     oriental(sum(spec.dims) - sum(spec.glue))  # the fold's target, refused first
-    _, _, _, embed, retract = _theta_retract(list(spec.dims), list(spec.glue))
+    _, _, embed, retract = _theta_retract(list(spec.dims), list(spec.glue))
     return RetractionPair(embed, retract)

@@ -64,9 +64,9 @@ def _sparse_case(rng: random.Random):
 def _check_against_smith(width, rows):
     ambient = _ambient(width)
     relations = [Chain(1, row) for row in rows]
-    quotient, projection, witness, reason = quotient_by_relations(
-        ambient, relations
-    )
+    result = quotient_by_relations(ambient, relations)
+    quotient, projection = result.complex, result.leg_a
+    witness, reason = result.torsion_witness, result.reason
 
     dense = Matrix(
         [[row.get((f"g{i}",), 0) for i in range(width)] for row in rows]

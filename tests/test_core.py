@@ -103,6 +103,15 @@ def test_bool_coefficients_and_augmentations_rejected():
         BasedComplex({0: [a]}, {}, {a: "1"})
 
 
+def test_missing_differential_rejected():
+    a, b, e, f = ("a",), ("b",), ("e",), ("f",)
+    with pytest.raises(MalformedError, match="^missing differential for f$"):
+        BasedComplex({0: [a, b], 1: [e, f]}, {e: Chain(0, {b: 1, a: -1})}, {a: 1, b: 1})
+    # a zero differential is given as the zero chain
+    loop = BasedComplex({0: [a], 1: [e]}, {e: Chain(0)}, {a: 1})
+    assert loop.diff[e].is_zero()
+
+
 def test_validate_map_identity_and_negative():
     assert validate_map(identity_map(cube(2))).passed
     assert validate_map(s2()).passed

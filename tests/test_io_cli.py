@@ -593,6 +593,43 @@ def test_cli_refuses_cube_pipelines_by_count(argv, count, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, count, smaller",
+    [
+        # the target cube(11) before the oriental(11) it sections
+        (["verify-retract", "xi", "11"], 177147, "oriental"),
+        # oriental(17) before the wedge of oriental(10) and oriental(7)
+        (["verify-retract", "zeta", "10", "7"], 262143, "_oriental_wedge"),
+    ],
+)
+def test_cli_refuses_retract_targets_first(argv, count, smaller, monkeypatch, capsys):
+    from steinerlab import retract
+
+    def refuse(*args):
+        raise AssertionError("built the smaller complex first")
+
+    monkeypatch.setattr(retract, smaller, refuse)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        f"error [SIZE_LIMIT]: complex with {count} generators exceeds"
+        " STEINERLAB_MAX_GENERATORS\n"
+    )
+
+
+def test_cli_refuses_a_missing_differential(tmp_path, capsys):
+    doc = json.loads(emit(oriental(2)))
+    doc["differential"] = []
+    path = tmp_path / "no_differential.json"
+    path.write_text(json.dumps(doc))
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error [PARSE_ERROR]: structurally malformed complex:"
+        " missing differential for 0.1\n"
+    )
+
+
+@pytest.mark.parametrize(
     "family, n, shape, faces, doubles",
     [
         ("cube", 5, 243, 810, 1080),

@@ -8,9 +8,12 @@ from steinerlab import (
     RetractionPair,
     ThetaSpec,
     UnsupportedSpecError,
+    antioriental,
+    boundary_disk,
     chain_of,
     compose,
     cube,
+    disk,
     e_s_kappa,
     ell_map,
     gray_tensor,
@@ -162,8 +165,31 @@ def test_xi_fixes_top_cells():
 
 
 def test_sections_memoize():
-    assert section_xi(3) is section_xi(3)
-    assert xi(4) is xi(4)
+    """section_ell keeps one pair per dimension; the cube comparison and its
+    section are rebuilt, over the memoized cube and oriental."""
+    assert section_ell(3) is section_ell(3)
+    assert section_xi(3) == section_xi(3)
+    assert section_xi(3).embed.target is cube(3)
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (cube, 6),
+        (oriental, 7),
+        (antioriental, 7),
+        (disk, 60),
+        (boundary_disk, 60),
+        (section_ell, 5),
+    ],
+)
+def test_memoized_builders_refuse_a_lowered_limit(build, n, monkeypatch):
+    """A memo hit is refused like a first build once the limit is lowered."""
+    build(n)
+    monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", "100")
+    with pytest.raises(SizeLimitError) as err:
+        build(n)
+    assert err.value.code == "SIZE_LIMIT"
 
 
 def test_section_ell():
@@ -202,6 +228,15 @@ def test_theta_retract_refuses_its_target_before_folding(monkeypatch):
     spec = ThetaSpec((6, 5, 7), (1, 1), (("target", "source"),) * 2)
     with pytest.raises(SizeLimitError, match="^complex with 131071 generators "):
         theta_retract_into_oriental(spec)
+
+
+def test_theta_left_inverse_refuses_its_source_first(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built the wedge")
+
+    monkeypatch.setattr(retract, "_oriental_wedge", refuse)
+    with pytest.raises(SizeLimitError, match="^complex with 262143 generators "):
+        theta_left_inverse(10, 7)
 
 
 def test_zeta_theta_pairs():
@@ -266,12 +301,15 @@ def test_theta_retract_rejects_non_pasting():
 
 
 def test_retraction_pair_reports_failures():
-    bad = RetractionPair(
-        embed=identity_map(oriental(1)), retract=identity_map(oriental(1))
-    )
-    assert bad.verify().passed
-    mixed = RetractionPair(embed=s2(), retract=q2())
-    assert mixed.verify().passed
+    assert RetractionPair(s2(), q2()).verify().passed
+    # the other way round the square does not come back: q2 kills an edge
+    backwards = RetractionPair(q2(), s2()).verify()
+    assert [item.name for item in backwards.failures()] == ["COMPOSITE_IDENTITY"]
+    assert [item.name for item in backwards.checks if item.passed] == [
+        "EMBED_VALID",
+        "RETRACT_VALID",
+        "SPLITTING_IDEMPOTENT",
+    ]
 
 
 @pytest.mark.parametrize("build", [xi, section_xi, section_ell, section_q_cube])
