@@ -64,7 +64,7 @@ def validate_table(t: CellTable) -> CheckReport:
     natural_witness = None
     for k in range(t.dim + 1):
         for chain in (t.minus[k], t.plus[k]):
-            if not chain.is_zero() and not chain.is_nonnegative():
+            if not chain.is_nonnegative():
                 natural_witness = f"level {k}"
                 break
         if natural_witness:

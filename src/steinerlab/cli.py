@@ -313,12 +313,10 @@ def _cmd_check(args) -> int:
             else top_cell_decomposition_check
         )
         report = fn(args.params[0], n)
-    elif which == "identities":
+    else:  # identities; argparse refuses any other suite
         from . import acceptance
 
         report = acceptance.criterion_dualities()
-    else:
-        raise UsageError(f"unknown check suite {which!r}")
     return _print_report(report, args.json)
 
 
@@ -345,12 +343,10 @@ def _cmd_verify_retract(args) -> int:
         n, m = _ints(args.params, "dimensions")
         z, t = zeta(n, m), theta_left_inverse(n, m)
         pair = RetractionPair(z, t)
-    elif kind == "theta":
+    else:  # theta; argparse refuses any other kind
         if len(args.params) != 1:
             raise UsageError("verify-retract theta takes a dims list")
         pair = theta_retract_into_oriental(_theta_spec(args.params[0], args))
-    else:
-        raise UsageError(f"unknown retraction {kind!r}")
     return _print_report(pair.verify(), args.json)
 
 

@@ -668,7 +668,7 @@ def validate_map(f: ComplexMap) -> CheckReport:
             break
     pos_witness = None
     for _, g in f.source.all_generators():
-        if not f.of_gen(g).is_nonnegative() and not f.of_gen(g).is_zero():
+        if not f.of_gen(g).is_nonnegative():
             pos_witness = render_name(g)
             break
     return report(

@@ -52,6 +52,7 @@ from .ops import (
 from .shapes import (
     ThetaSpec,
     _cube_word,
+    _refuse_cube,
     _refuse_oriental,
     cube,
     oriental,
@@ -208,6 +209,8 @@ def section_q_cube(n: int) -> RetractionPair:
     ``p`` after its last ``i``, hold ``i`` at ``p`` and then repeat the
     letter of ``0``, ``1`` that ``w`` does not have at ``p``.
     """
+    if n < 0:
+        _refuse_cube(n)  # as itself, by sign, before its target
     target = cube(n + 1)
     assignment: dict[Name, Chain] = {
         ("b0",): chain_of(0, ("0" * (n + 1),)),
@@ -316,7 +319,8 @@ def ell_oriental(n: int) -> ComplexMap:
     return ComplexMap(source, target, assignment)
 
 
-@_sized_memo(lambda n: _refuse_oriental(n + 1))  # its target, the larger
+# a negative n is refused as itself, any other by its target, the larger
+@_sized_memo(lambda n: _refuse_oriental(n if n < 0 else n + 1))
 def section_ell(n: int) -> RetractionPair:
     """Section of :func:`ell_oriental`, built target first: the poles go to
     the vertices ``0`` and ``n+1``, and ``s.S`` for ``S = s_0 < ... < s_k``

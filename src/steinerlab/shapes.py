@@ -401,80 +401,65 @@ def truncate_top(c: BasedComplex) -> BasedComplex:
 # -- boundary decompositions --------------------------------------------------
 
 
-def _word_insert(word: str, pos: int, letter: str) -> str:
-    return word[:pos] + letter + word[pos:]
-
-
 def _cube_word(g: Name) -> str:
     """Cube generator name to word; the 0-cube point is the empty word."""
     return "" if g == ("u",) else g[0]
 
 
-def _subset_skip(name: Name, skip: int) -> Name:
-    """Apply the order injection omitting ``skip`` to a vertex subset."""
-    return tuple(str(int(v) if int(v) < skip else int(v) + 1) for v in name)
+# A face of the n-shape is tagged by its position, then the letters its
+# coface writes there; the double face of faces f < h by f's and h's tags
+# interleaved, so (i, j, a, b) for cubes and (i, j) for orientals.  It goes
+# into f by h's coface one position lower and into h by f's coface.
+
+
+def _cube_coface(pos: int, letters: Name, g: Name) -> Name:
+    """Face (i, a) of the cube inserts the letter a at position i of a word."""
+    word = _cube_word(g)
+    return (word[:pos] + letters[0] + word[pos:],)
+
+
+def _oriental_coface(pos: int, letters: Name, g: Name) -> Name:
+    """Face (i,) of the oriental skips vertex i."""
+    return tuple(str(int(v) if int(v) < pos else int(v) + 1) for v in g)
+
+
+def _family(family: str):
+    """The builder, the generator count by dimension, the face tags of the
+    n-shape and the coface of ``family``."""
+    if family == "cube":
+        return (
+            cube,
+            lambda m: 3**m,
+            lambda n: [(str(i), a) for i in range(n) for a in "01"],
+            _cube_coface,
+        )
+    if family == "oriental":
+        return (
+            oriental,
+            lambda m: 2 ** (m + 1) - 1,
+            lambda n: [(str(i),) for i in range(n + 1)],
+            _oriental_coface,
+        )
+    raise MalformedError(f"unknown family {family!r}")
 
 
 def _decomposition_data(family: str, n: int):
-    """The parallel pair over coproducts of faces, plus the comparison cocone.
+    """The n-shape, the face and double-face coproducts, and the coface.
 
-    The sizes of the shape and of the face and double coproducts are refused,
-    in that order, from their closed forms before anything is built."""
-    if family not in ("cube", "oriental"):
-        raise MalformedError(f"unknown family {family!r}")
+    The sizes of the shape and of the two coproducts are refused, in that
+    order, as counts of the family before anything is built."""
+    build, count, face_tags, coface = _family(family)
     _check_size_at_least(n)
-    if family == "cube":
-        sizes = (3**n, 2 * n * 3 ** (n - 1), 2 * n * (n - 1) * 3 ** (n - 2))
-    else:
-        sizes = (2 ** (n + 1) - 1, (n + 1) * (2**n - 1))
-        sizes += (n * (n + 1) // 2 * (2 ** (n - 1) - 1),)
-    for total in sizes:
-        check_size(total)
-    if family == "cube":
-        shape = cube(n)
-        faces = [
-            ((str(i), a), cube(n - 1)) for i in range(n) for a in ("0", "1")
-        ]
-        doubles = [
-            ((str(i), str(j), a, b), cube(n - 2))
-            for i in range(n)
-            for j in range(i + 1, n)
-            for a in ("0", "1")
-            for b in ("0", "1")
-        ]
-
-        def into_first(tag, g):
-            j, b = int(tag[1]), tag[3]
-            return ((tag[0], tag[2]), (_word_insert(_cube_word(g), j - 1, b),))
-
-        def into_second(tag, g):
-            i, a = int(tag[0]), tag[2]
-            return ((tag[1], tag[3]), (_word_insert(_cube_word(g), i, a),))
-
-        def face_into_shape(tag, g):
-            return (_word_insert(_cube_word(g), int(tag[0]), tag[1]),)
-
-    else:
-        shape = oriental(n)
-        faces = [((str(i),), oriental(n - 1)) for i in range(n + 1)]
-        doubles = [
-            ((str(i), str(j)), oriental(n - 2))
-            for i in range(n)
-            for j in range(i + 1, n + 1)
-        ]
-
-        def into_first(tag, g):
-            i, j = int(tag[0]), int(tag[1])
-            return ((tag[0],), _subset_skip(g, j - 1))
-
-        def into_second(tag, g):
-            i, j = int(tag[0]), int(tag[1])
-            return ((tag[1],), _subset_skip(g, i))
-
-        def face_into_shape(tag, g):
-            return _subset_skip(g, int(tag[0]))
-
-    return shape, faces, doubles, into_first, into_second, face_into_shape
+    check_size(count(n))
+    faces = face_tags(n)
+    doubles = [
+        sum(zip(f, h), ()) for f in faces for h in faces if int(f[0]) < int(h[0])
+    ]
+    check_size(len(faces) * count(n - 1))
+    check_size(len(doubles) * count(n - 2))
+    face_cop = coproduct([(("f",) + tag, build(n - 1)) for tag in faces])
+    double_cop = coproduct([(("e",) + tag, build(n - 2)) for tag in doubles])
+    return build(n), face_cop, double_cop, coface
 
 
 def _induced_iso_items(
@@ -501,21 +486,18 @@ def boundary_decomposition_check(family: str, n: int) -> CheckReport:
 
     if n < 2:
         raise BadDimsError(f"boundary decomposition needs n >= 2, got {n}")
-    shape, faces, doubles, into_first, into_second, face_into_shape = (
-        _decomposition_data(family, n)
-    )
-    face_cop = coproduct([(("f",) + tag, part) for tag, part in faces])
-    double_cop = coproduct([(("e",) + tag, part) for tag, part in doubles])
+    shape, face_cop, double_cop, coface = _decomposition_data(family, n)
 
-    def build_parallel(into) -> ComplexMap:
+    def leg(into_first: bool) -> ComplexMap:
         def rename(gen: Name) -> Name:
-            face_tag, image = into(gen[0][1:], gen[1])
-            return (("f",) + face_tag, image)
+            f, h = gen[0][1::2], gen[0][2::2]
+            if into_first:
+                return (("f",) + f, coface(int(h[0]) - 1, h[1:], gen[1]))
+            return (("f",) + h, coface(int(f[0]), f[1:], gen[1]))
 
         return basis_renaming_map(double_cop, face_cop, rename)
 
-    r = build_parallel(into_first)
-    s = build_parallel(into_second)
+    r, s = leg(True), leg(False)
     result = coequalizer(r, s)
     items: list[CheckItem] = [
         CheckItem(
@@ -529,7 +511,7 @@ def boundary_decomposition_check(family: str, n: int) -> CheckReport:
 
     boundary = truncate_top(shape)
     cocone = basis_renaming_map(
-        face_cop, boundary, lambda gen: face_into_shape(gen[0][1:], gen[1])
+        face_cop, boundary, lambda gen: coface(int(gen[0][1]), gen[0][2:], gen[1])
     )
     if any(cocone(r.of_gen(e)) != cocone(s.of_gen(e)) for e in r.assignment):
         items.append(CheckItem(f"{family}:{n}:COCONE_COEQUALIZES", False, None))
@@ -554,9 +536,7 @@ def top_cell_decomposition_check(family: str, n: int) -> CheckReport:
 
     if n < 1:
         raise BadDimsError(f"top-cell decomposition needs n >= 1, got {n}")
-    if family not in ("cube", "oriental"):
-        raise MalformedError(f"unknown family {family!r}")
-    shape = cube(n) if family == "cube" else oriental(n)
+    shape = _family(family)[0](n)
     tops = shape.generators(n)
     items: list[CheckItem] = [
         CheckItem(f"{family}:{n}:UNIQUE_TOP_CELL", len(tops) == 1, str(len(tops)))

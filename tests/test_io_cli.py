@@ -758,3 +758,17 @@ def test_cli_gen_theta_negative_keeps_its_message(capsys):
     assert capsys.readouterr().err == (
         "error [BAD_DIMS]: disk dimension must be >= 0, got -1\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-retract", "ell", "-5"], "oriental dimension must be >= 0, got -5"),
+        (["verify-retract", "q-cube", "-2"], "cube dimension must be >= 0, got -2"),
+    ],
+)
+def test_cli_negative_section_dimension_names_itself(argv, message, capsys):
+    """A section's negative dimension is refused as itself, not as its
+    target's dimension n+1."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error [BAD_DIMS]: {message}\n"

@@ -6,6 +6,7 @@ from math import comb
 from steinerlab import (
     BadDimsError,
     Chain,
+    MalformedError,
     NameDepthError,
     ThetaSpec,
     antioriental,
@@ -236,6 +237,8 @@ def test_boundary_decomposition_small():
         ]
     with pytest.raises(BadDimsError):
         boundary_decomposition_check("oriental", 1)
+    with pytest.raises(MalformedError, match="^unknown family 'sphere'$"):
+        boundary_decomposition_check("sphere", 3)
 
 
 def test_top_cell_decomposition_small():
@@ -249,7 +252,54 @@ def test_top_cell_decomposition_small():
             f"{family}:{n}:INDUCED_ISO",
             f"{family}:{n}:EQUALS_SHAPE",
         ]
+    with pytest.raises(BadDimsError):
+        top_cell_decomposition_check("cube", 0)
+    with pytest.raises(MalformedError, match="^unknown family 'sphere'$"):
+        top_cell_decomposition_check("sphere", 3)
 
+
+
+def _items(result):
+    return [(item.name, item.passed, item.witness) for item in result.checks]
+
+
+def test_boundary_decomposition_fails_when_the_cofaces_do_not_commute(monkeypatch):
+    """A cube coface that appends its letter, whatever the position, still
+    gives chain maps, so the colimit is based; but a double face reaches the
+    cube with its two letters in either order, and the cocone does not
+    coequalize."""
+    from steinerlab import shapes
+
+    def append(pos, letters, g):
+        return (shapes._cube_word(g) + letters[0],)
+
+    monkeypatch.setattr(shapes, "_cube_coface", append)
+    for n in (2, 3):
+        assert _items(boundary_decomposition_check("cube", n)) == [
+            (f"cube:{n}:COLIMIT_BASED", True, None),
+            (f"cube:{n}:COCONE_COEQUALIZES", False, None),
+        ]
+
+
+def test_decomposition_checks_stop_at_a_colimit_that_is_not_based(monkeypatch):
+    from steinerlab import colimits
+    from steinerlab.colimits import PushoutResult
+
+    def not_based(*maps):
+        reason = "degree 1: torsion quotient"
+        return PushoutResult(None, None, None, False, (1, 2), reason)
+
+    monkeypatch.setattr(colimits, "coequalizer", not_based)
+    monkeypatch.setattr(colimits, "pushout", not_based)
+    for family, n in (("cube", 3), ("oriental", 3)):
+        assert _items(boundary_decomposition_check(family, n)) == [
+            (f"{family}:{n}:COLIMIT_BASED", False, "degree 1: torsion quotient"),
+        ]
+        assert _items(top_cell_decomposition_check(family, n)) == [
+            (f"{family}:{n}:UNIQUE_TOP_CELL", True, "1"),
+            (f"{family}:{n}:ATTACH_VALID", True, None),
+            (f"{family}:{n}:COLIMIT_BASED", False, "degree 1: torsion quotient"),
+        ]
 
 def test_disks_build_deep_in_the_stack():
     """Disks iterate suspensions in a loop: a few frames at any dimension,
