@@ -26,6 +26,7 @@ from .core import (
     CheckItem,
     CheckReport,
     ComplexMap,
+    _first_failure,
     equal_presentation,
     graded_counts,
     invert_basis_bijection,
@@ -366,16 +367,13 @@ def _composable_pairs(pool):
 def criterion_cells() -> CheckReport:
     items: list[CheckItem] = []
     lib = shape_library(big=True)
-    witness = None
-    for label, c in lib.items():
-        for _, g in c.all_generators():
-            t = atom_table(c, g)
-            if not validate_table(t).passed:
-                witness = f"{label}:{g}"
-                break
-        if witness:
-            break
-    items.append(CheckItem("all library atoms validate", witness is None, witness))
+    invalid = (
+        f"{label}:{g}"
+        for label, c in lib.items()
+        for _, g in c.all_generators()
+        if not validate_table(atom_table(c, g)).passed
+    )
+    items.append(_first_failure("all library atoms validate", invalid))
 
     t = atom_table(oriental(2), ("0", "1", "2"))
     ok = (

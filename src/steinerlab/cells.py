@@ -9,12 +9,15 @@ Composition along a level is pointwise addition above the glue level.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .core import (
     BasedComplex,
     Chain,
     CheckItem,
     CheckReport,
     SteinerlabError,
+    _first_failure,
     _new_object,
     _Record,
     _set_field,
@@ -58,31 +61,31 @@ class CellTable(_Record):
         return f"<CellTable dim {self.dim} over {self.ambient!r}>"
 
 
-def validate_table(t: CellTable) -> CheckReport:
-    """Check the four table axioms, with level witnesses."""
-    top_ok = t.minus[t.dim] == t.plus[t.dim]
-    natural_witness = None
-    for k in range(t.dim + 1):
-        for chain in (t.minus[k], t.plus[k]):
-            if not chain.is_nonnegative():
-                natural_witness = f"level {k}"
-                break
-        if natural_witness:
-            break
-    boundary_witness = None
+def _boundary_failures(t: CellTable) -> Iterator[str]:
+    """``side level k`` for each entry above level zero whose boundary is not
+    ``plus[k-1] - minus[k-1]``, level by level, minus side first."""
     for k in range(1, t.dim + 1):
         expected = t.plus[k - 1] - t.minus[k - 1]
         for label, chain in (("minus", t.minus[k]), ("plus", t.plus[k])):
             if t.ambient.d(chain) != expected:
-                boundary_witness = f"{label} level {k}"
-                break
-        if boundary_witness:
-            break
+                yield f"{label} level {k}"
+
+
+def validate_table(t: CellTable) -> CheckReport:
+    """Check the four table axioms, with level witnesses."""
+    top_ok = t.minus[t.dim] == t.plus[t.dim]
+    unnatural = (
+        f"level {k}"
+        for k in range(t.dim + 1)
+        if not (t.minus[k].is_nonnegative() and t.plus[k].is_nonnegative())
+    )
+    natural = _first_failure("ENTRIES_NATURAL", unnatural)
+    boundary = _first_failure("BOUNDARY_COMPAT", _boundary_failures(t))
     unit_ok = t.ambient.eps(t.minus[0]) == 1 and t.ambient.eps(t.plus[0]) == 1
     return report(
         CheckItem("TOP_MATCH", top_ok, None if top_ok else f"level {t.dim}"),
-        CheckItem("ENTRIES_NATURAL", natural_witness is None, natural_witness),
-        CheckItem("BOUNDARY_COMPAT", boundary_witness is None, boundary_witness),
+        natural,
+        boundary,
         CheckItem("UNIT_AUGMENTATION", unit_ok, None if unit_ok else "level 0"),
     )
 

@@ -44,6 +44,21 @@ def _shape_builders() -> dict:
     }
 
 
+def _shown(text: str) -> str:
+    """``text`` quoted for a message, cut to its first 40 characters."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
+
+
+def _decimal(text: str) -> Optional[int]:
+    """The integer ``text`` spells in the document grammar (``core._DECIMAL``,
+    at most 4000 digits), or ``None``."""
+    from .core import _CHUNK_DIGITS, _DECIMAL
+
+    if len(text) > _CHUNK_DIGITS or not _DECIMAL.fullmatch(text):
+        return None
+    return int(text)
+
+
 def _parse_shape_ref(text: str) -> Optional[BasedComplex]:
     if text in ("unit", "zero", "interval"):
         from . import basic
@@ -53,10 +68,9 @@ def _parse_shape_ref(text: str) -> Optional[BasedComplex]:
         kind, _, arg = text.partition(":")
         builders = _shape_builders()
         if kind in builders:
-            try:
-                n = int(arg)
-            except ValueError:
-                raise UsageError(f"bad shape parameter in {text!r}") from None
+            n = _decimal(arg)
+            if n is None:
+                raise UsageError(f"bad shape parameter in {_shown(text)}")
             return builders[kind](n)
     return None
 
@@ -99,14 +113,15 @@ def _name_arg(text: str) -> Name:
     except NameDepthError:
         raise
     except ValueError as exc:
-        raise UsageError(f"bad generator name {text!r}: {exc}") from None
+        raise UsageError(f"bad generator name {_shown(text)}: {exc}") from None
 
 
 def _ints(values: Sequence[str], what: str) -> list[int]:
-    try:
-        return [int(v) for v in values]
-    except ValueError:
-        raise UsageError(f"{what} must be integers, got {values!r}") from None
+    ints = [_decimal(v) for v in values]
+    if None in ints:
+        bad = values[ints.index(None)]
+        raise UsageError(f"{what} must be integers, got {_shown(bad)}")
+    return ints
 
 
 def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
@@ -126,7 +141,7 @@ def _parse_sides(text: str) -> tuple[tuple[str, str], ...]:
     for token in text.split(","):
         if token not in _SIDE_CODES:
             raise UsageError(
-                f"bad side code {token!r}; use ts, st, ss, or tt"
+                f"bad side code {_shown(token)}; use ts, st, ss, or tt"
             )
         sides.append(_SIDE_CODES[token])
     return tuple(sides)
@@ -188,7 +203,7 @@ def _cmd_gen(args) -> int:
         b = _load_complex(args.params[2])
         value = wedge(a, _name_arg(args.params[1]), b, _name_arg(args.params[3]))
     else:
-        raise UsageError(f"unknown shape {kind!r}")
+        raise UsageError(f"unknown shape {_shown(kind)}")
     _write_output(emit(value), args.out)
     return 0
 
@@ -224,7 +239,7 @@ def _cmd_op(args) -> int:
             raise UsageError(f"op {op} takes one input")
         value = unary[op](_load_complex(args.inputs[0]))
     else:
-        raise UsageError(f"unknown operation {op!r}")
+        raise UsageError(f"unknown operation {_shown(op)}")
     _write_output(emit(value), args.out)
     return 0
 

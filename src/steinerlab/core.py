@@ -616,11 +616,16 @@ class ComplexMap:
 # -- operations ------------------------------------------------------------
 
 
-def validate_complex(c: BasedComplex) -> CheckReport:
-    """Check d∘d = 0, ε∘d₁ = 0, and ε ≥ 0 on vertices, with witnesses.
+def _first_failure(name: str, witnesses: Iterable[str]) -> CheckItem:
+    """The item ``name``, failing at the first witness ``witnesses`` yields
+    (taking nothing past it), or passing when it yields none."""
+    witness = next(iter(witnesses), None)
+    return CheckItem(name, witness is None, witness)
 
-    d(d g) is summed in one dict per generator, in basis order."""
-    d2_witness = None
+
+def _d2_failures(c: BasedComplex) -> Iterator[Name]:
+    """Each generator whose d(d g) is not zero, in basis order; d(d g) is
+    summed in one dict per generator."""
     diff = c.diff
     for degree in sorted(c.degrees):
         if degree < 2:
@@ -631,50 +636,34 @@ def validate_complex(c: BasedComplex) -> CheckReport:
                 for k, v in diff[h]._coeffs.items():
                     total[k] = total.get(k, 0) + coeff * v
             if any(total.values()):
-                d2_witness = render_name(g)
-                break
-        if d2_witness:
-            break
-    aug_d1_witness = None
-    for g in c.generators(1):
-        if c.eps(c.diff[g]) != 0:
-            aug_d1_witness = render_name(g)
-            break
-    aug_neg_witness = None
-    for g in c.generators(0):
-        if c.aug[g] < 0:
-            aug_neg_witness = render_name(g)
-            break
+                yield g
+
+
+def validate_complex(c: BasedComplex) -> CheckReport:
+    """Check d∘d = 0, ε∘d₁ = 0, and ε ≥ 0 on vertices, with witnesses."""
+    unbalanced = (g for g in c.generators(1) if c.eps(c.diff[g]) != 0)
+    negative = (g for g in c.generators(0) if c.aug[g] < 0)
     return report(
-        CheckItem("D2_ZERO", d2_witness is None, d2_witness),
-        CheckItem("AUG_KILLS_D1", aug_d1_witness is None, aug_d1_witness),
-        CheckItem("AUG_NONNEGATIVE", aug_neg_witness is None, aug_neg_witness),
+        _first_failure("D2_ZERO", map(render_name, _d2_failures(c))),
+        _first_failure("AUG_KILLS_D1", map(render_name, unbalanced)),
+        _first_failure("AUG_NONNEGATIVE", map(render_name, negative)),
     )
 
 
 def validate_map(f: ComplexMap) -> CheckReport:
     """Check the chain rule, augmentation preservation, and positivity."""
-    chain_witness = None
-    for degree, g in f.source.all_generators():
-        if degree == 0:
-            continue
-        if f(f.source.diff[g]) != f.target.d(f.of_gen(g)):
-            chain_witness = render_name(g)
-            break
-    aug_witness = None
-    for g in f.source.generators(0):
-        if f.target.eps(f.of_gen(g)) != f.source.aug[g]:
-            aug_witness = render_name(g)
-            break
-    pos_witness = None
-    for _, g in f.source.all_generators():
-        if not f.of_gen(g).is_nonnegative():
-            pos_witness = render_name(g)
-            break
+    source, target, image = f.source, f.target, f.of_gen
+    unchained = (
+        g
+        for degree, g in source.all_generators()
+        if degree and f(source.diff[g]) != target.d(image(g))
+    )
+    moved = (g for g in source.generators(0) if target.eps(image(g)) != source.aug[g])
+    negative = (g for _, g in source.all_generators() if not image(g).is_nonnegative())
     return report(
-        CheckItem("CHAIN_RULE", chain_witness is None, chain_witness),
-        CheckItem("AUG_PRESERVED", aug_witness is None, aug_witness),
-        CheckItem("POSITIVITY", pos_witness is None, pos_witness),
+        _first_failure("CHAIN_RULE", map(render_name, unchained)),
+        _first_failure("AUG_PRESERVED", map(render_name, moved)),
+        _first_failure("POSITIVITY", map(render_name, negative)),
     )
 
 

@@ -236,7 +236,9 @@ def document_to_complex(doc: Any) -> BasedComplex:
         g = _parse_gen(_need(entry, "generator", "differential"), "differential", names)
         if g not in gen_degree:
             raise ParseError(f"differential on unknown generator {render_name(g)}")
-        chain = Chain(gen_degree[g] - 1, _parse_terms(entry, "differential", names))
+        # a differential on a vertex or below is left to BasedComplex to refuse
+        degree = max(gen_degree[g] - 1, 0)
+        chain = Chain(degree, _parse_terms(entry, "differential", names))
         _put_once(diff, g, chain, "differential")
     aug: dict[Name, int] = {}
     for entry in _need_list(doc, "augmentation", "document"):

@@ -354,27 +354,16 @@ def _oriental_sum(n: int, m: int) -> BasedComplex:
     return oriental(n + m)
 
 
-def _wedge_left_name(n: int, g: Name) -> Name:
-    return ("w0",) if g == (str(n),) else ("wl", g)
-
-
-def _wedge_right_name(g: Name) -> Name:
-    return ("w0",) if g == ("0",) else ("wr", g)
-
-
 def zeta(n: int, m: int) -> ComplexMap:
     """The bipointed inclusion of the wedge of two orientals into the big
     oriental: left subsets stay put, right subsets shift."""
     target = _oriental_sum(n, m)
-    w, _, _ = _oriental_wedge(n, m)
+    w, left, right = _oriental_wedge(n, m)
     assignment: dict[Name, Chain] = {}
-    for deg, g in w.all_generators():
-        if g == ("w0",):
-            assignment[g] = chain_of(0, (str(n),))
-        elif g[0] == "wl":
-            assignment[g] = chain_of(deg, g[1])
-        else:
-            assignment[g] = chain_of(deg, _shift_subset(g[1], n))
+    for leg, shift in ((left, 0), (right, n)):
+        for deg, g in leg.source.all_generators():
+            image = chain_of(deg, _shift_subset(g, shift))
+            assignment[sole_generator(leg.of_gen(g))] = image
     return ComplexMap(w, target, assignment)
 
 
@@ -387,44 +376,38 @@ def theta_left_inverse(n: int, m: int) -> ComplexMap:
     else collapses.
     """
     source = _oriental_sum(n, m)
-    w, _, _ = _oriental_wedge(n, m)
+    w, left, right = _oriental_wedge(n, m)
     assignment: dict[Name, Chain] = {}
     for deg, g in source.all_generators():
         verts = [int(v) for v in g]
         below = [v for v in verts if v < n]
         above = [v for v in verts if v > n]
-        has_mid = n in verts
-        terms: dict[Name, int] = {}
+        parts = []
         if not above:
-            terms[_wedge_left_name(n, g)] = 1
+            parts.append(left.of_gen(g))
         elif not below:
-            terms[_wedge_right_name(_shift_subset(g, -n))] = 1
-        elif not has_mid:
+            parts.append(right.of_gen(_shift_subset(g, -n)))
+        elif n not in verts:
             if len(above) == 1:
-                left = tuple(str(v) for v in below + [n])
-                terms[_wedge_left_name(n, left)] = 1
+                parts.append(left.of_gen(tuple(str(v) for v in below + [n])))
             if len(below) == 1:
-                right = tuple(str(v - n) for v in [n] + above)
-                terms[_wedge_right_name(right)] = 1
-        assignment[g] = Chain(deg, terms)
+                parts.append(right.of_gen(tuple(str(v - n) for v in [n] + above)))
+        assignment[g] = sum(parts, Chain(deg))
     return ComplexMap(source, w, assignment)
 
 
 # -- retracts of theta objects ----------------------------------------------------
 
 
-def _wedge_map(source, target, point, f1, leg1, f2, leg2) -> ComplexMap:
-    """The map out of the wedge ``source``: ``f1`` then ``leg1`` on the left
-    part, whose basepoint is ``point``, and ``f2`` then ``leg2`` on the right."""
+def _wedge_map(lam1, f1, mu1, lam2, f2, mu2) -> ComplexMap:
+    """The map out of the wedge with legs ``lam1``, ``lam2``: ``f1`` then
+    ``mu1`` on the left part, ``f2`` then ``mu2`` on the right; the left
+    part gives the basepoint's image."""
     assignment: dict[Name, Chain] = {}
-    for _, g in source.all_generators():
-        if g == ("w0",):
-            assignment[g] = leg1(f1.of_gen(point))
-        elif g[0] == "wl":
-            assignment[g] = leg1(f1.of_gen(g[1]))
-        else:
-            assignment[g] = leg2(f2.of_gen(g[1]))
-    return ComplexMap(source, target, assignment)
+    for lam, f, mu in ((lam2, f2, mu2), (lam1, f1, mu1)):
+        for _, g in lam.source.all_generators():
+            assignment[sole_generator(lam.of_gen(g))] = mu(f.of_gen(g))
+    return ComplexMap(lam1.target, mu1.target, assignment)
 
 
 def _wedge_retracts(first, second):
@@ -433,10 +416,10 @@ def _wedge_retracts(first, second):
     l1, r1, e1, rt1 = first
     l2, r2, e2, rt2 = second
     n1, n2 = e1.target.top_degree, e2.target.top_degree
-    w, lam1, lam2 = wedge_with_legs(e1.source, r1, e2.source, l2)
-    wd, mu1, mu2 = _oriental_wedge(n1, n2)
-    wedge_embed = _wedge_map(w, wd, r1, e1, mu1, e2, mu2)
-    wedge_retract = _wedge_map(wd, w, (str(n1),), rt1, lam1, rt2, lam2)
+    _, lam1, lam2 = wedge_with_legs(e1.source, r1, e2.source, l2)
+    _, mu1, mu2 = _oriental_wedge(n1, n2)
+    wedge_embed = _wedge_map(lam1, e1, mu1, lam2, e2, mu2)
+    wedge_retract = _wedge_map(mu1, rt1, lam1, mu2, rt2, lam2)
     new_embed = compose(wedge_embed, zeta(n1, n2))
     new_retract = compose(theta_left_inverse(n1, n2), wedge_retract)
     left = sole_generator(lam1.of_gen(l1))

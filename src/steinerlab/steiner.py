@@ -27,6 +27,7 @@ from .core import (
     CheckReport,
     DegreeMismatchError,
     _adopt,
+    _first_failure,
     _Record,
     _set_field,
     add_scaled,
@@ -89,10 +90,10 @@ def _atom_floors(c: BasedComplex, b: Name) -> tuple[Chain, Chain]:
 def _unitality(c: BasedComplex, floors) -> CheckItem:
     """``UNITALITY``: the witness is the first generator, in basis order,
     with an entry of ``floors(c, b)`` whose augmentation is not one."""
-    for _, b in c.all_generators():
-        if any(c.eps(x) != 1 for x in floors(c, b)):
-            return CheckItem("UNITALITY", False, render_name(b))
-    return CheckItem("UNITALITY", True, None)
+    non_unital = (
+        b for _, b in c.all_generators() if any(c.eps(x) != 1 for x in floors(c, b))
+    )
+    return _first_failure("UNITALITY", map(render_name, non_unital))
 
 
 def unitality_check(c: BasedComplex) -> CheckReport:

@@ -3,6 +3,7 @@ import pytest
 from steinerlab import (
     BasedComplex,
     Chain,
+    CheckItem,
     ComplexMap,
     CompositionError,
     MalformedError,
@@ -220,3 +221,58 @@ def test_bad_library_arguments_are_coded_errors(build, message):
     with pytest.raises(MalformedError) as err:
         build()
     assert str(err.value) == message and err.value.code == "MALFORMED"
+
+
+def test_first_failure_stops_at_the_first_witness():
+    from steinerlab.core import _first_failure
+
+    assert _first_failure("X", iter(())) == CheckItem("X", True, None)
+    witnesses = iter(["a", "b"])
+    assert _first_failure("X", witnesses) == CheckItem("X", False, "a")
+    assert next(witnesses) == "b"  # nothing past the first is taken
+
+
+_A, _E = ("a",), ("e",)
+
+
+@pytest.mark.parametrize(
+    "build, code, message",
+    [
+        (lambda: BasedComplex({-1: [_A]}, {}, {}), "MALFORMED", "negative degree -1"),
+        (lambda: BasedComplex({0: [_A], 1: [_A]}, {}, {_A: 1}), "MALFORMED",
+         "duplicate generator a"),
+        (lambda: BasedComplex({0: [_A]}, {_E: Chain(0)}, {_A: 1}), "MALFORMED",
+         "differential on unknown generator e"),
+        (lambda: BasedComplex({0: [_A]}, {_A: Chain(0)}, {_A: 1}), "MALFORMED",
+         "differential on degree-0 generator a"),
+        (lambda: BasedComplex({0: [_A], 1: [_E]}, {_E: Chain(1)}, {_A: 1}), "MALFORMED",
+         "differential of e has degree 1, expected 0"),
+        (lambda: BasedComplex({0: [_A]}, {}, {}), "MALFORMED", "missing augmentation for a"),
+        (lambda: BasedComplex({0: [_A], 1: [_E]}, {_E: Chain(0)}, {_A: 1, _E: 1}),
+         "MALFORMED", "augmentation on non-vertex e"),
+        (lambda: ComplexMap(interval(), unit(), {}), "MALFORMED",
+         "no assignment for generator 0"),
+        (lambda: ComplexMap(unit(), unit(), {("u",): chain_of(0, ("v",))}), "MALFORMED",
+         "assignment of u references bad target generator v"),
+        (lambda: interval().renamed(lambda g: ("x",)), "MALFORMED",
+         "renaming is not injective"),
+        (lambda: Chain(-1), "MALFORMED", "chain degree must be >= 0, got -1"),
+        (lambda: unit().degree_of(("z",)), "MALFORMED", "unknown generator z"),
+        (lambda: unit().d(Chain(0)), "DEGREE_ZERO", "no differential in degree 0"),
+        (lambda: interval().eps(chain_of(1, ("i",))), "DEGREE_MISMATCH",
+         "augmentation applies to degree-0 chains"),
+    ],
+    ids=[
+        "negative degree", "duplicate generator", "differential on unknown",
+        "differential on vertex", "differential degree", "missing augmentation",
+        "augmentation on non-vertex", "missing assignment", "bad target term",
+        "non-injective renaming", "negative chain degree", "unknown degree_of",
+        "d in degree 0", "eps off degree 0",
+    ],
+)
+def test_structural_refusals_are_coded(build, code, message):
+    from steinerlab.core import SteinerlabError
+
+    with pytest.raises(SteinerlabError) as err:
+        build()
+    assert (err.value.code, str(err.value)) == (code, message)

@@ -630,6 +630,57 @@ def test_cli_refuses_a_missing_differential(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "extra_degrees, generator, message",
+    [
+        ([], "0", "differential on degree-0 generator 0"),
+        ([{"degree": -1, "generators": ["m"]}], "m", "negative degree -1"),
+    ],
+    ids=["vertex", "degree -1"],
+)
+def test_cli_refuses_a_differential_below_degree_one(
+    extra_degrees, generator, message, tmp_path, capsys
+):
+    """The parser leaves such a differential to ``BasedComplex``, whose
+    structural refusal it reports."""
+    from steinerlab import interval
+
+    doc = json.loads(emit(interval()))
+    doc["degrees"] += extra_degrees
+    doc["differential"].append({"generator": generator, "terms": []})
+    path = tmp_path / "low_differential.json"
+    path.write_text(json.dumps(doc))
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error [PARSE_ERROR]: structurally malformed complex: {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["gen", "cube", "1_0"], "dimension must be integers, got '1_0'"),
+        (["gen", "oriental", "\u0663"], "dimension must be integers, got '\u0663'"),
+        (["info", "cube: 2"], "bad shape parameter in 'cube: 2'"),
+        (["gen", "theta", "2,2", "--glue", " 1"], "glue must be integers, got ' 1'"),
+        (["verify-retract", "zeta", "1", "2 "], "dimensions must be integers, got '2 '"),
+        (["gen", "cube", "1" * 5000], "dimension must be integers, got '" + "1" * 40 + "'..."),
+        (["info", "cube:" + "1" * 5000], "bad shape parameter in 'cube:" + "1" * 35 + "'..."),
+    ],
+    ids=["underscore", "arabic-indic digit", "space in shape", "space in glue",
+         "space in zeta", "5000 digits", "5000-digit shape"],
+)
+def test_cli_integers_follow_the_document_grammar(argv, shown, capsys):
+    """Integer arguments are read as document integers are (an optional sign
+    and ASCII digits, at most 4000 of them); an error quotes at most 40
+    characters of the argument."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {shown}\n"
+    assert len(captured.err.encode()) < 200
+
+
+@pytest.mark.parametrize(
     "family, n, shape, faces, doubles",
     [
         ("cube", 5, 243, 810, 1080),
