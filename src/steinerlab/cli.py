@@ -4,11 +4,14 @@ Subcommands: ``gen`` (emit a shape), ``op`` (apply an operation), ``info``,
 ``atoms``, ``check`` (named verification suites), ``verify-retract``, and
 ``suite`` (the full acceptance battery).  Exit codes: 0 pass, 1 verified
 failure, 2 usage or input error.  Stdout is deterministic; timing and
-diagnostics go to stderr.  ``--json`` switches reports to JSON.
+diagnostics go to stderr.  ``--json`` switches reports to JSON.  Integer
+arguments are read as document degrees are (``core._short_int``), and every
+error message shows an argument as ``names.shown`` does, cut to 40 characters.
 
 Each handler imports the library modules it uses, so one call loads only
 those: ``gen cube 2`` loads ``core``, ``names``, ``basic``, ``shapes`` and
-``io``, and only ``suite`` and ``check identities`` load ``acceptance``.
+``io``; ``atoms`` on a shape reference loads no ``io``; and only ``suite``
+and ``check identities`` load ``acceptance``.
 """
 
 from __future__ import annotations
@@ -44,21 +47,6 @@ def _shape_builders() -> dict:
     }
 
 
-def _shown(text: str) -> str:
-    """``text`` quoted for a message, cut to its first 40 characters."""
-    return repr(text[:40]) + ("..." if len(text) > 40 else "")
-
-
-def _decimal(text: str) -> Optional[int]:
-    """The integer ``text`` spells in the document grammar (``core._DECIMAL``,
-    at most 4000 digits), or ``None``."""
-    from .core import _CHUNK_DIGITS, _DECIMAL
-
-    if len(text) > _CHUNK_DIGITS or not _DECIMAL.fullmatch(text):
-        return None
-    return int(text)
-
-
 def _parse_shape_ref(text: str) -> Optional[BasedComplex]:
     if text in ("unit", "zero", "interval"):
         from . import basic
@@ -68,9 +56,13 @@ def _parse_shape_ref(text: str) -> Optional[BasedComplex]:
         kind, _, arg = text.partition(":")
         builders = _shape_builders()
         if kind in builders:
-            n = _decimal(arg)
-            if n is None:
-                raise UsageError(f"bad shape parameter in {_shown(text)}")
+            from .core import _short_int
+
+            try:
+                n = _short_int(arg)
+            except ValueError:
+                from .names import shown
+                raise UsageError(f"bad shape parameter in {shown(text)}") from None
             return builders[kind](n)
     return None
 
@@ -84,14 +76,16 @@ def _load_complex(ref: str) -> BasedComplex:
     else:
         path = Path(ref)
         if not path.exists():
-            raise UsageError(f"no such file or shape reference: {ref}")
+            from .names import shown
+            raise UsageError(f"no such file or shape reference: {shown(ref)}")
         text = path.read_text()
     from .core import BasedComplex
     from .io import parse
 
     value = parse(text)
     if not isinstance(value, BasedComplex):
-        raise UsageError(f"{ref} does not contain a complex document")
+        from .names import shown
+        raise UsageError(f"{shown(ref)} does not contain a complex document")
     return value
 
 
@@ -106,21 +100,26 @@ def _name_arg(text: str) -> Name:
     """A generator name given on the command line; bad text is a usage error,
     and an over-deep name keeps its ``NAME_DEPTH`` code."""
     from .core import NameDepthError
-    from .names import parse_name
+    from .names import parse_name, shown
 
     try:
         return parse_name(text)
     except NameDepthError:
         raise
     except ValueError as exc:
-        raise UsageError(f"bad generator name {_shown(text)}: {exc}") from None
+        raise UsageError(f"bad generator name {shown(text)}: {exc}") from None
 
 
 def _ints(values: Sequence[str], what: str) -> list[int]:
-    ints = [_decimal(v) for v in values]
-    if None in ints:
-        bad = values[ints.index(None)]
-        raise UsageError(f"{what} must be integers, got {_shown(bad)}")
+    from .core import _short_int
+
+    ints = []
+    for text in values:
+        try:
+            ints.append(_short_int(text))
+        except ValueError:
+            from .names import shown
+            raise UsageError(f"{what} must be integers, got {shown(text)}") from None
     return ints
 
 
@@ -135,16 +134,12 @@ _SIDE_CODES = {"ts": ("target", "source"), "st": ("source", "target"),
 
 
 def _parse_sides(text: str) -> tuple[tuple[str, str], ...]:
-    if not text:
-        return ()
-    sides = []
-    for token in text.split(","):
+    tokens = text.split(",") if text else []
+    for token in tokens:
         if token not in _SIDE_CODES:
-            raise UsageError(
-                f"bad side code {_shown(token)}; use ts, st, ss, or tt"
-            )
-        sides.append(_SIDE_CODES[token])
-    return tuple(sides)
+            from .names import shown
+            raise UsageError(f"bad side code {shown(token)}; use ts, st, ss, or tt")
+    return tuple(_SIDE_CODES[token] for token in tokens)
 
 
 def _theta_spec(dims_text: str, args) -> ThetaSpec:
@@ -203,7 +198,8 @@ def _cmd_gen(args) -> int:
         b = _load_complex(args.params[2])
         value = wedge(a, _name_arg(args.params[1]), b, _name_arg(args.params[3]))
     else:
-        raise UsageError(f"unknown shape {_shown(kind)}")
+        from .names import shown
+        raise UsageError(f"unknown shape {shown(kind)}")
     _write_output(emit(value), args.out)
     return 0
 
@@ -239,7 +235,8 @@ def _cmd_op(args) -> int:
             raise UsageError(f"op {op} takes one input")
         value = unary[op](_load_complex(args.inputs[0]))
     else:
-        raise UsageError(f"unknown operation {_shown(op)}")
+        from .names import shown
+        raise UsageError(f"unknown operation {shown(op)}")
     _write_output(emit(value), args.out)
     return 0
 
@@ -273,7 +270,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_atoms(args) -> int:
-    from .io import _chain_terms
+    from .core import _int_to_text
     from .names import render_name
     from .steiner import atom_table
 
@@ -288,7 +285,11 @@ def _cmd_atoms(args) -> int:
         table = atom_table(c, g)
         entry = {"generator": render_name(g), "dim": table.dim}
         for side, chains in (("minus", table.minus), ("plus", table.plus)):
-            entry[side] = [_chain_terms(ch) for ch in chains]
+            entry[side] = [
+                [{"generator": render_name(h), "coeff": _int_to_text(k)}
+                 for h, k in chain.items()]
+                for chain in chains
+            ]
         payload.append(entry)
     if args.json:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
@@ -449,7 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # refused here, to show them as every refusal shows a value
+            from .names import shown
+            parser.error(f"unrecognized arguments: {shown(' '.join(extra))}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     from .core import SteinerlabError
@@ -460,6 +464,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except (OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            from .names import shown
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {shown(exc.filename)}"
         sys.stderr.write(f"error [IO_ERROR]: {exc}\n")
         return 2
     except SteinerlabError as exc:

@@ -17,7 +17,8 @@ from functools import lru_cache, wraps
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .names import Name, check_depth, check_name, name_depth, name_key, render_name
+from .names import _SHOWN_BITS, Name, check_depth, check_name, name_depth, name_key
+from .names import render_name, shown
 
 DEFAULT_MAX_GENERATORS = 100_000
 
@@ -69,26 +70,20 @@ def max_generators() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise SizeLimitError(f"bad STEINERLAB_MAX_GENERATORS value {raw!r}") from exc
-
-
-# A total of more bits than this is reported by its leading power of two.
-_EXACT_TOTAL_BITS = 100
+        raise SizeLimitError(f"bad STEINERLAB_MAX_GENERATORS value {shown(raw)}") from exc
 
 
 def check_size(total: int) -> None:
     """Refuse a complex of ``total`` generators over the limit, before it is built."""
     if total > max_generators():
-        bits = total.bit_length()
-        count = str(total) if bits <= _EXACT_TOTAL_BITS else f"at least 2**{bits - 1}"
-        _refuse_size(count)
+        _refuse_size(shown(total))
 
 
 def _check_size_at_least(bits: int) -> None:
     """Refuse a complex of at least ``2**bits`` generators from ``bits`` alone,
-    when that bound passes the limit and its total would not print exactly."""
-    if bits >= _EXACT_TOTAL_BITS and bits >= max_generators().bit_length():
-        _refuse_size(f"at least 2**{bits}")
+    when that bound passes the limit and its total would not be shown exactly."""
+    if bits >= _SHOWN_BITS and bits >= max_generators().bit_length():
+        _refuse_size("at least 2**" + shown(bits))
 
 
 def _refuse_size(count: str) -> None:
@@ -141,6 +136,13 @@ def _text_to_int(text: str) -> int:
     return -value if text[0] == "-" else value
 
 
+def _short_int(text: str) -> int:
+    """As :func:`_text_to_int`, for at most 4000 digits: dimensions and degrees."""
+    if len(text) > _CHUNK_DIGITS:
+        raise ValueError("over 4000 digits")
+    return _text_to_int(text)
+
+
 def add_scaled(total: dict, terms: Mapping, scale: int) -> None:
     """Add ``scale * terms`` into the sparse map ``total``, dropping zeros."""
     for key, value in terms.items():
@@ -162,7 +164,7 @@ class Chain:
 
     def __init__(self, degree: int, coeffs: dict[Name, int] | None = None):
         if degree < 0:
-            raise MalformedError(f"chain degree must be >= 0, got {degree}")
+            raise MalformedError(f"chain degree must be >= 0, got {shown(degree)}")
         data: dict[Name, int] = {}
         for name, coeff in (coeffs or {}).items():
             if not isinstance(coeff, int) or isinstance(coeff, bool):
@@ -399,10 +401,10 @@ class BasedComplex:
             if not gens:
                 continue
             if degree < 0:
-                raise MalformedError(f"negative degree {degree}")
+                raise MalformedError(f"negative degree {shown(degree)}")
             for g in gens:
                 if g in gen_degree:
-                    raise MalformedError(f"duplicate generator {render_name(g)}")
+                    raise MalformedError(f"duplicate generator {shown(g)}")
                 gen_degree[g] = degree
             deg_map[degree] = tuple(gens)
             total += len(gens)
@@ -411,19 +413,19 @@ class BasedComplex:
         for g, chain in diff.items():
             degree = gen_degree.get(g)
             if degree is None:
-                raise MalformedError(f"differential on unknown generator {render_name(g)}")
+                raise MalformedError(f"differential on unknown generator {shown(g)}")
             if degree == 0:
-                raise MalformedError(f"differential on degree-0 generator {render_name(g)}")
+                raise MalformedError(f"differential on degree-0 generator {shown(g)}")
             if chain.degree != degree - 1:
                 raise MalformedError(
-                    f"differential of {render_name(g)} has degree {chain.degree},"
+                    f"differential of {shown(g)} has degree {chain.degree},"
                     f" expected {degree - 1}"
                 )
             stray = [h for h in chain._coeffs if gen_degree.get(h) != degree - 1]
             if stray:
                 raise MalformedError(
-                    f"differential of {render_name(g)} references"
-                    f" {render_name(min(stray, key=name_key))}"
+                    f"differential of {shown(g)} references"
+                    f" {shown(min(stray, key=name_key))}"
                     " at the wrong degree or not at all"
                 )
             diff_map[g] = chain
@@ -431,20 +433,20 @@ class BasedComplex:
             if degree >= 1:
                 for g in gens:
                     if g not in diff_map:
-                        raise MalformedError(f"missing differential for {render_name(g)}")
+                        raise MalformedError(f"missing differential for {shown(g)}")
         aug_map: dict[Name, int] = {}
         for g in deg_map.get(0, ()):
             value = aug.get(g)
             if value is None:
-                raise MalformedError(f"missing augmentation for {render_name(g)}")
+                raise MalformedError(f"missing augmentation for {shown(g)}")
             if not isinstance(value, int) or isinstance(value, bool):
                 raise MalformedError(
-                    f"non-integer augmentation {value!r} on {render_name(g)}"
+                    f"non-integer augmentation {value!r} on {shown(g)}"
                 )
             aug_map[g] = value
         for g in aug:
             if gen_degree.get(g) != 0:
-                raise MalformedError(f"augmentation on non-vertex {render_name(g)}")
+                raise MalformedError(f"augmentation on non-vertex {shown(g)}")
         object.__setattr__(self, "degrees", deg_map)
         object.__setattr__(self, "diff", diff_map)
         object.__setattr__(self, "aug", aug_map)
@@ -469,7 +471,7 @@ class BasedComplex:
         try:
             return self._gen_degree[name]
         except KeyError:
-            raise MalformedError(f"unknown generator {render_name(name)}") from None
+            raise MalformedError(f"unknown generator {shown(name)}") from None
 
     def has_generator(self, name: Name) -> bool:
         return name in self._gen_degree
@@ -566,24 +568,24 @@ class ComplexMap:
             for g in gens:
                 chain = assignment.get(g)
                 if chain is None:
-                    raise MalformedError(f"no assignment for generator {render_name(g)}")
+                    raise MalformedError(f"no assignment for generator {shown(g)}")
                 if chain.degree != degree:
                     raise DegreeMismatchError(
-                        f"assignment of {render_name(g)} has degree {chain.degree},"
+                        f"assignment of {shown(g)} has degree {chain.degree},"
                         f" expected {degree}"
                     )
                 stray = [h for h in chain._coeffs if target_degree(h) != degree]
                 if stray:
                     raise MalformedError(
-                        f"assignment of {render_name(g)} references bad target"
-                        f" generator {render_name(min(stray, key=name_key))}"
+                        f"assignment of {shown(g)} references bad target"
+                        f" generator {shown(min(stray, key=name_key))}"
                     )
                 asg[g] = chain
         if len(assignment) > len(asg):
             extra = [check_name(g) for g in assignment if g not in asg]
             raise MalformedError(
                 "assignment for unknown generator"
-                f" {render_name(min(extra, key=name_key))}"
+                f" {shown(min(extra, key=name_key))}"
             )
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)

@@ -7,19 +7,19 @@ canonical ordering, laid out byte for byte as
 layout directly.  Coefficients and augmentation values are decimal strings:
 the integers are unbounded by contract and must survive any consumer.
 ``parse`` accepts an integer as a JSON integer or a decimal string (never a
-float or a boolean), parses each distinct generator name once, validates
-structurally and then semantically, and embeds the failing report in the
-error.
+float or a boolean; a degree's string has at most 4000 digits), parses each
+distinct generator name once, validates structurally and then semantically,
+and embeds the failing report in the error.  Every error message shows the
+document's values as ``names.shown`` does, so its length is bounded.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 from .core import (
-    _CHUNK_DIGITS,
     BasedComplex,
     Chain,
     CheckReport,
@@ -27,11 +27,12 @@ from .core import (
     MalformedError,
     SteinerlabError,
     _int_to_text,
+    _short_int,
     _text_to_int,
     validate_complex,
     validate_map,
 )
-from .names import Name, parse_name, render_name
+from .names import Name, parse_name, render_name, shown
 
 FORMAT_VERSION = "steinerlab/1"
 
@@ -46,12 +47,6 @@ class ValidationError(SteinerlabError):
     def __init__(self, message: str, report: CheckReport):
         super().__init__(message)
         self.report = report
-
-
-def _chain_terms(chain: Chain) -> list[dict[str, str]]:
-    return [
-        {"generator": render_name(n), "coeff": _int_to_text(c)} for n, c in chain.items()
-    ]
 
 
 # -- emit ------------------------------------------------------------------
@@ -167,22 +162,15 @@ def _need_list(doc: Any, key: str, where: str) -> list:
 
 
 def _parse_int(value: Any, where: str) -> int:
-    """A JSON integer, or a decimal string of any length."""
+    """A JSON integer, or a decimal string (in degrees, of at most 4000 digits)."""
     if type(value) is int:
         return value
     if isinstance(value, str):
         try:
-            return _text_to_int(value)
+            return (_short_int if where == "degrees" else _text_to_int)(value)
         except ValueError:
             pass
-    raise ParseError(f"bad integer {value!r} in {where}")
-
-
-def _parse_degree(value: Any) -> int:
-    """A degree: as :func:`_parse_int`, but short enough for messages to print."""
-    if isinstance(value, str) and len(value) > _CHUNK_DIGITS:
-        raise ParseError(f"bad integer in degrees: over {_CHUNK_DIGITS} digits")
-    return _parse_int(value, "degrees")
+    raise ParseError(f"bad integer {shown(value)} in {where}")
 
 
 def _parse_gen(text: Any, where: str, names: dict[str, Name]) -> Name:
@@ -201,8 +189,8 @@ def _parse_gen(text: Any, where: str, names: dict[str, Name]) -> Name:
 def _put_once(table: dict, key: Any, value: Any, where: str) -> None:
     """``table[key] = value``, rejecting a key (a degree or a generator) listed before."""
     if key in table:
-        what = f"degree {key}" if isinstance(key, int) else f"generator {render_name(key)}"
-        raise ParseError(f"{what} listed twice in {where}")
+        what = "degree" if isinstance(key, int) else "generator"
+        raise ParseError(f"{what} {shown(key)} listed twice in {where}")
     table[key] = value
 
 
@@ -216,15 +204,29 @@ def _parse_terms(entry: Any, where: str, names: dict[str, Name]) -> dict[Name, i
     return terms
 
 
+def _built(what: str, build: Callable[[], Any], validate: Callable[[Any], CheckReport]):
+    """``build()``, unless it is structurally malformed or fails ``validate``."""
+    try:
+        value = build()
+    except MalformedError as exc:
+        raise ParseError(f"structurally malformed {what}: {exc}") from None
+    check = validate(value)
+    if not check.passed:
+        failing = check.failures()[0]
+        witness = shown((failing.witness,))  # a rendered name, shown as names are
+        raise ValidationError(f"{what} fails {failing.name} at {witness}", check)
+    return value
+
+
 def document_to_complex(doc: Any) -> BasedComplex:
     if _need(doc, "format_version", "document") != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {doc['format_version']!r}")
+        raise ParseError(f"unsupported format version {shown(doc['format_version'])}")
     names: dict[str, Name] = {}
     degrees: dict[int, list[Name]] = {}
     gen_degree: dict[Name, int] = {}
     for entry in _need_list(doc, "degrees", "document"):
-        deg = _parse_degree(_need(entry, "degree", "degrees"))
-        where = f"degree {deg}"
+        deg = _parse_int(_need(entry, "degree", "degrees"), "degrees")
+        where = f"degree {shown(deg)}"
         gens = [
             _parse_gen(g, where, names) for g in _need_list(entry, "generators", "degrees")
         ]
@@ -235,7 +237,7 @@ def document_to_complex(doc: Any) -> BasedComplex:
     for entry in _need_list(doc, "differential", "document"):
         g = _parse_gen(_need(entry, "generator", "differential"), "differential", names)
         if g not in gen_degree:
-            raise ParseError(f"differential on unknown generator {render_name(g)}")
+            raise ParseError(f"differential on unknown generator {shown(g)}")
         # a differential on a vertex or below is left to BasedComplex to refuse
         degree = max(gen_degree[g] - 1, 0)
         chain = Chain(degree, _parse_terms(entry, "differential", names))
@@ -245,17 +247,7 @@ def document_to_complex(doc: Any) -> BasedComplex:
         g = _parse_gen(_need(entry, "generator", "augmentation"), "augmentation", names)
         value = _parse_int(_need(entry, "value", "augmentation"), "augmentation")
         _put_once(aug, g, value, "augmentation")
-    try:
-        result = BasedComplex(degrees, diff, aug)
-    except MalformedError as exc:
-        raise ParseError(f"structurally malformed complex: {exc}") from None
-    check = validate_complex(result)
-    if not check.passed:
-        failing = check.failures()[0]
-        raise ValidationError(
-            f"complex fails {failing.name} at {failing.witness}", check
-        )
-    return result
+    return _built("complex", lambda: BasedComplex(degrees, diff, aug), validate_complex)
 
 
 def document_to_map(doc: dict[str, Any]) -> ComplexMap:
@@ -266,18 +258,10 @@ def document_to_map(doc: dict[str, Any]) -> ComplexMap:
     for entry in _need_list(doc, "assignment", "map document"):
         g = _parse_gen(_need(entry, "generator", "assignment"), "assignment", names)
         if not source.has_generator(g):
-            raise ParseError(f"assignment on unknown generator {render_name(g)}")
+            raise ParseError(f"assignment on unknown generator {shown(g)}")
         chain = Chain(source.degree_of(g), _parse_terms(entry, "assignment", names))
         _put_once(assignment, g, chain, "assignment")
-    try:
-        result = ComplexMap(source, target, assignment)
-    except MalformedError as exc:
-        raise ParseError(f"structurally malformed map: {exc}") from None
-    check = validate_map(result)
-    if not check.passed:
-        failing = check.failures()[0]
-        raise ValidationError(f"map fails {failing.name} at {failing.witness}", check)
-    return result
+    return _built("map", lambda: ComplexMap(source, target, assignment), validate_map)
 
 
 def parse(text: str) -> Union[BasedComplex, ComplexMap]:
@@ -297,4 +281,4 @@ def parse(text: str) -> Union[BasedComplex, ComplexMap]:
         return document_to_complex(doc)
     if kind == "map":
         return document_to_map(doc)
-    raise ParseError(f"unknown document kind {kind!r}")
+    raise ParseError(f"unknown document kind {shown(kind)}")

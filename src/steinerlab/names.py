@@ -25,6 +25,10 @@ _RESERVED = set(".()")
 # existed (disk 492 ran out of stack).
 MAX_NAME_DEPTH = 492
 
+# A message shows a value in full up to these bounds and cut past them.
+_SHOWN_CHARS = 40
+_SHOWN_BITS = 100
+
 
 def check_depth(depth: int) -> int:
     """Refuse names nested ``depth`` levels deep over the bound, before they
@@ -88,11 +92,26 @@ def render_name(name: Name) -> str:
     return ".".join(out)
 
 
+def shown(value: object) -> str:
+    """``value`` as every refusal message shows it: a string quoted, a name
+    rendered and any other value by a bounded ``repr``, each cut to 40
+    characters, and an integer past 100 bits by its leading power of two."""
+    if isinstance(value, int) and value.bit_length() > _SHOWN_BITS:
+        bound = "at most -2**" if value < 0 else "at least 2**"
+        return bound + str(value.bit_length() - 1)
+    if isinstance(value, str):
+        return repr(value[:_SHOWN_CHARS]) + ("..." if len(value) > _SHOWN_CHARS else "")
+    import reprlib  # bounds the nesting and the length of lists and objects
+
+    text = render_name(value) if isinstance(value, tuple) else reprlib.repr(value)
+    return text[:_SHOWN_CHARS] + ("..." if len(text) > _SHOWN_CHARS else "")
+
+
 def parse_name(text: str) -> Name:
     """Inverse of :func:`render_name`."""
     parts, pos = _parse_parts(text, 0, 1)
     if pos != len(text):
-        raise ValueError(f"trailing characters in name {text!r}")
+        raise ValueError(f"trailing characters in name {shown(text)}")
     return parts
 
 
@@ -101,12 +120,12 @@ def _parse_parts(text: str, pos: int, depth: int) -> tuple[Name, int]:
     n = len(text)
     while True:
         if pos >= n:
-            raise ValueError(f"empty name component in {text!r}")
+            raise ValueError(f"empty name component in {shown(text)}")
         if text[pos] == "(":
             check_depth(depth + 1)
             sub, pos = _parse_parts(text, pos + 1, depth + 1)
             if pos >= n or text[pos] != ")":
-                raise ValueError(f"unbalanced parentheses in name {text!r}")
+                raise ValueError(f"unbalanced parentheses in name {shown(text)}")
             pos += 1
             parts.append(sub)
         else:
@@ -114,7 +133,7 @@ def _parse_parts(text: str, pos: int, depth: int) -> tuple[Name, int]:
             while pos < n and text[pos] not in _RESERVED:
                 pos += 1
             if pos == start:
-                raise ValueError(f"empty name atom in {text!r} at {pos}")
+                raise ValueError(f"empty name atom in {shown(text)} at {pos}")
             parts.append(text[start:pos])
         if pos < n and text[pos] == ".":
             pos += 1

@@ -11,6 +11,7 @@ iterated join.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable
 
 from .basic import interval, unit, zero
@@ -39,7 +40,7 @@ from .core import (
     validate_complex,
     validate_map,
 )
-from .names import MAX_NAME_DEPTH, Name, check_depth
+from .names import MAX_NAME_DEPTH, Name, check_depth, shown
 
 # The five functions that use ``ops``, ``colimits`` or ``steiner`` import
 # them where they run, so that building a cube, oriental, disk, theta or
@@ -103,10 +104,10 @@ def _check_disk_dims(n: int) -> None:
     nest past ``MAX_NAME_DEPTH`` (``n + 1`` levels); the boundary of the
     n-disk is refused with it."""
     if n < 0:
-        raise BadDimsError(f"disk dimension must be >= 0, got {n}")
+        raise BadDimsError(f"disk dimension must be >= 0, got {shown(n)}")
     if n >= MAX_NAME_DEPTH:
         raise NameDepthError(
-            f"disk dimension {n} needs names nested {n + 1} levels deep,"
+            f"disk dimension {shown(n)} needs names nested {shown(n + 1)} levels deep,"
             f" past the bound of {MAX_NAME_DEPTH}"
         )
 
@@ -166,18 +167,26 @@ def disk_inclusion(j: int, i: int, side: str) -> ComplexMap:
     if side not in ("source", "target"):
         raise BadDimsError(f"side must be 'source' or 'target', got {side!r}")
     if not (0 <= j <= i):
-        raise BadDimsError(f"need 0 <= j <= i, got j={j}, i={i}")
+        raise BadDimsError(f"need 0 <= j <= i, got j={shown(j)}, i={shown(i)}")
     return basis_renaming_map(disk(j), disk(i), _onto_side(j, i, side))
 
 
-# -- cubes ----------------------------------------------------------------
+# -- cubes and orientals ----------------------------------------------------
+
+# The generator count of each family by dimension n, at least 2**n.
+_COUNTS = {"cube": lambda n: 3**n, "oriental": lambda n: 2 ** (n + 1) - 1}
 
 
-def _refuse_cube(n: int) -> None:
+def _refuse_family(family: str, n: int) -> None:
+    """Refuse a negative ``family`` dimension, then the family's count."""
     if n < 0:
-        raise BadDimsError(f"cube dimension must be >= 0, got {n}")
-    _check_size_at_least(n)  # 3**n >= 2**n, refused before the power is taken
-    check_size(3**n)
+        raise BadDimsError(f"{family} dimension must be >= 0, got {shown(n)}")
+    _check_size_at_least(n)
+    check_size(_COUNTS[family](n))
+
+
+_refuse_cube = partial(_refuse_family, "cube")
+_refuse_oriental = partial(_refuse_family, "oriental")
 
 
 @_sized_memo(_refuse_cube)
@@ -215,16 +224,6 @@ def cube(n: int) -> BasedComplex:
     return BasedComplex(degrees, diff, aug)
 
 
-# -- orientals -------------------------------------------------------------
-
-
-def _refuse_oriental(n: int) -> None:
-    if n < 0:
-        raise BadDimsError(f"oriental dimension must be >= 0, got {n}")
-    _check_size_at_least(n)  # 2**(n+1) - 1 >= 2**n
-    check_size(2 ** (n + 1) - 1)
-
-
 @_sized_memo(_refuse_oriental)
 def oriental(n: int) -> BasedComplex:
     """The n-oriental: subsets of {0..n} as basis, alternating face sums."""
@@ -260,8 +259,7 @@ def oriental_via_join(n: int) -> BasedComplex:
     """
     from .ops import join
 
-    if n < 0:
-        raise BadDimsError(f"oriental dimension must be >= 0, got {n}")
+    _refuse_oriental(n)
     current = BasedComplex({0: [("0",)]}, {}, {("0",): 1})
     for k in range(1, n + 1):
         current = join(current, unit()).renamed(lambda g: _right_cone_name(g, k))
@@ -308,8 +306,8 @@ class ThetaSpec(_Record):
         for pos, j in enumerate(glue):
             if j < 0 or j > min(dims[pos], dims[pos + 1]):
                 raise BadDimsError(
-                    f"glue dimension {j} exceeds adjacent disks"
-                    f" {dims[pos]}, {dims[pos + 1]}"
+                    f"glue dimension {shown(j)} exceeds adjacent disks"
+                    f" {shown(dims[pos])}, {shown(dims[pos + 1])}"
                 )
         for pair in sides:
             if len(pair) != 2 or any(s not in ("source", "target") for s in pair):
@@ -424,23 +422,12 @@ def _oriental_coface(pos: int, letters: Name, g: Name) -> Name:
 
 
 def _family(family: str):
-    """The builder, the generator count by dimension, the face tags of the
-    n-shape and the coface of ``family``."""
+    """The builder, the face tags of the n-shape and the coface of ``family``."""
     if family == "cube":
-        return (
-            cube,
-            lambda m: 3**m,
-            lambda n: [(str(i), a) for i in range(n) for a in "01"],
-            _cube_coface,
-        )
+        return cube, lambda n: [(str(i), a) for i in range(n) for a in "01"], _cube_coface
     if family == "oriental":
-        return (
-            oriental,
-            lambda m: 2 ** (m + 1) - 1,
-            lambda n: [(str(i),) for i in range(n + 1)],
-            _oriental_coface,
-        )
-    raise MalformedError(f"unknown family {family!r}")
+        return oriental, lambda n: [(str(i),) for i in range(n + 1)], _oriental_coface
+    raise MalformedError(f"unknown family {shown(family)}")
 
 
 def _decomposition_data(family: str, n: int):
@@ -448,9 +435,9 @@ def _decomposition_data(family: str, n: int):
 
     The sizes of the shape and of the two coproducts are refused, in that
     order, as counts of the family before anything is built."""
-    build, count, face_tags, coface = _family(family)
-    _check_size_at_least(n)
-    check_size(count(n))
+    build, face_tags, coface = _family(family)
+    count = _COUNTS[family]
+    _refuse_family(family, n)
     faces = face_tags(n)
     doubles = [
         sum(zip(f, h), ()) for f in faces for h in faces if int(f[0]) < int(h[0])
@@ -485,7 +472,7 @@ def boundary_decomposition_check(family: str, n: int) -> CheckReport:
     from .colimits import coequalizer, induced_from_coequalizer
 
     if n < 2:
-        raise BadDimsError(f"boundary decomposition needs n >= 2, got {n}")
+        raise BadDimsError(f"boundary decomposition needs n >= 2, got {shown(n)}")
     shape, face_cop, double_cop, coface = _decomposition_data(family, n)
 
     def leg(into_first: bool) -> ComplexMap:
@@ -535,7 +522,7 @@ def top_cell_decomposition_check(family: str, n: int) -> CheckReport:
     from .steiner import atom_table
 
     if n < 1:
-        raise BadDimsError(f"top-cell decomposition needs n >= 1, got {n}")
+        raise BadDimsError(f"top-cell decomposition needs n >= 1, got {shown(n)}")
     shape = _family(family)[0](n)
     tops = shape.generators(n)
     items: list[CheckItem] = [

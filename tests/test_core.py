@@ -2,6 +2,11 @@ import pytest
 
 from steinerlab import (
     BasedComplex,
+    atom_table,
+    coequalizer,
+    compose_tables,
+    invert_basis_bijection,
+    two_points,
     Chain,
     CheckItem,
     ComplexMap,
@@ -24,7 +29,7 @@ from steinerlab import (
     verify_mutually_inverse,
     zero,
 )
-from steinerlab.core import SizeLimitError
+from steinerlab.core import SizeLimitError, SteinerlabError, sole_generator
 from steinerlab.ops import cube_selfduality
 from steinerlab.retract import q2, s2
 
@@ -276,3 +281,42 @@ def test_structural_refusals_are_coded(build, code, message):
     with pytest.raises(SteinerlabError) as err:
         build()
     assert (err.value.code, str(err.value)) == (code, message)
+
+
+def _two_vertices_onto_one() -> ComplexMap:
+    points = two_points()
+    return ComplexMap(points, unit(), {g: chain_of(0, ("u",)) for _, g in points.all_generators()})
+
+
+@pytest.mark.parametrize(
+    "build, code, message",
+    [
+        (lambda: coequalizer(identity_map(interval()), identity_map(unit())),
+         "SOURCE_TARGET_MISMATCH", "coequalizer needs a parallel pair of maps"),
+        (lambda: compose_tables(atom_table(interval(), ("i",)),
+                                atom_table(oriental(1), ("0", "1")), 0),
+         "NOT_COMPOSABLE", "tables live in different complexes"),
+        (lambda: invert_basis_bijection(s2()),
+         "MALFORMED", "not one generator with coefficient 1: [0i i1]"),
+        (lambda: invert_basis_bijection(_two_vertices_onto_one()),
+         "MALFORMED", "map is not bijective on bases"),
+        (lambda: sole_generator(Chain(1, {("a",): 2})),
+         "MALFORMED", "not one generator with coefficient 1: [a]"),
+        (lambda: verify_mutually_inverse(s2(), s2()),
+         "SOURCE_TARGET_MISMATCH", "maps are not a candidate inverse pair"),
+        (lambda: zero().top_degree, "EMPTY", "empty complex has no top degree"),
+    ],
+    ids=["coequalizer of a non-parallel pair", "tables across complexes",
+         "invert a non-basis map", "invert a non-bijection", "sole generator",
+         "not an inverse pair", "top degree of zero"],
+)
+def test_library_refusals_are_coded(build, code, message):
+    with pytest.raises(SteinerlabError) as err:
+        build()
+    assert (err.value.code, str(err.value)) == (code, message)
+
+
+def test_a_bad_generator_limit_is_coded(monkeypatch):
+    monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", "lots")
+    with pytest.raises(SizeLimitError, match="^bad STEINERLAB_MAX_GENERATORS value 'lots'$"):
+        BasedComplex({0: [("a",)]}, {}, {("a",): 1})

@@ -823,3 +823,135 @@ def test_cli_negative_section_dimension_names_itself(argv, message, capsys):
     target's dimension n+1."""
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error [BAD_DIMS]: {message}\n"
+
+
+_HUGE = "1" * 3000  # a 3000-digit argument: 9962 bits
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "disk", _HUGE],
+         "error [NAME_DEPTH]: disk dimension at least 2**9962 needs names nested"
+         " at least 2**9962 levels deep, past the bound of 492"),
+        (["gen", "cube", _HUGE],
+         "error [SIZE_LIMIT]: complex with at least 2**at least 2**9962 generators"
+         " exceeds STEINERLAB_MAX_GENERATORS"),
+        (["gen", "cube", "-" + _HUGE],
+         "error [BAD_DIMS]: cube dimension must be >= 0, got at most -2**9962"),
+        (["gen", "theta", "1,1", "--glue", _HUGE],
+         "error [BAD_DIMS]: glue dimension at least 2**9962 exceeds adjacent disks 1, 1"),
+        (["verify-retract", "zeta", "-" + _HUGE, "1"],
+         "error [BAD_DIMS]: oriental dimension must be >= 0, got at most -2**9962"),
+        (["info", "r" * 3000],
+         "error [IO_ERROR]: [Errno 36] File name too long: '" + "r" * 40 + "'..."),
+    ],
+    ids=["disk", "cube", "negative cube", "theta glue", "negative zeta", "long reference"],
+)
+def test_cli_refusals_show_huge_arguments_briefly(argv, message, capsys):
+    """A refusal shows an integer past 100 bits by its leading power of two
+    and a string by its first 40 characters."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+    assert len(captured.err.encode()) < 200
+
+
+def test_cli_refuses_a_long_generator_limit_briefly(monkeypatch, capsys):
+    monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", "9" * 2999 + "x")
+    assert main(["info", "cube:2"]) == 2
+    assert capsys.readouterr().err == (
+        "error [SIZE_LIMIT]: bad STEINERLAB_MAX_GENERATORS value '" + "9" * 40 + "'...\n"
+    )
+
+
+def _interval_doc(change) -> str:
+    from steinerlab import interval
+
+    doc = json.loads(emit(interval()))
+    change(doc)
+    return json.dumps(doc)
+
+
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d["differential"][0]["terms"][0].update(coeff=_LONG),
+         "bad integer '" + "x" * 40 + "'... in terms"),
+        (lambda d: d["differential"][0]["terms"][0].update(coeff=list(range(3000))),
+         "bad integer [0, 1, 2, 3, 4, 5, ...] in terms"),
+        (lambda d: d.update(format_version=_LONG),
+         "unsupported format version '" + "x" * 40 + "'..."),
+        (lambda d: d.update(kind=_LONG), "unknown document kind '" + "x" * 40 + "'..."),
+        (lambda d: d["differential"][0].update(generator=_LONG),
+         "differential on unknown generator " + "x" * 40 + "..."),
+        (lambda d: d["degrees"][0]["generators"].append(_LONG + ")"),
+         "bad generator name in degree 0: trailing characters in name '"
+         + "x" * 40 + "'..."),
+        (lambda d: d["degrees"][0].update(degree="-" + "1" * 3999),
+         "structurally malformed complex: negative degree at most -2**13281"),
+    ],
+    ids=["coeff", "coeff list", "format_version", "kind", "name", "bad name",
+         "3999-digit degree"],
+)
+def test_cli_refusals_show_long_document_values_briefly(change, message, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(_interval_doc(change))
+    assert main(["info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error [PARSE_ERROR]: {message}\n"
+    assert len(captured.err.encode()) < 200
+
+
+def test_a_failing_document_shows_its_witness_as_a_name():
+    from steinerlab.acceptance import fixture_broken_d2
+
+    with pytest.raises(ValidationError) as err:
+        parse(emit(fixture_broken_d2()))
+    assert str(err.value) == "complex fails D2_ZERO at c"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_interval_doc(lambda d: d.pop("augmentation")), "missing 'augmentation' in document"),
+        (_interval_doc(lambda d: d["degrees"][0]["generators"].__setitem__(0, 5)),
+         "generator name must be a string in degree 0"),
+        (_interval_doc(lambda d: d.update(format_version="steinerlab/2")),
+         "unsupported format version 'steinerlab/2'"),
+        ("[1, 2]", "document must be a JSON object"),
+        (_interval_doc(lambda d: d.update(kind="graph")), "unknown document kind 'graph'"),
+    ],
+    ids=["missing key", "non-string name", "format version", "not an object", "kind"],
+)
+def test_parse_refusals_are_coded(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.code, str(err.value)) == ("PARSE_ERROR", message)
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        (lambda a: a.append({"generator": "zz", "terms": []}), ParseError,
+         "assignment on unknown generator zz"),
+        (lambda a: a.pop(), ParseError,
+         "structurally malformed map: no assignment for generator 0.1.2"),
+        # 0 -> 2*00 breaks the chain rule first at the edge 0.1
+        (lambda a: a[0]["terms"][0].update(coeff="2"), ValidationError,
+         "map fails CHAIN_RULE at 0.1"),
+    ],
+    ids=["unknown generator", "missing assignment", "chain rule"],
+)
+def test_parse_refuses_bad_maps(change, error, message):
+    doc = json.loads(emit(s2()))
+    change(doc["assignment"])
+    with pytest.raises(error) as err:
+        parse(json.dumps(doc))
+    assert str(err.value) == message
+    assert err.value.code == error.code

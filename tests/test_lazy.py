@@ -131,6 +131,12 @@ def test_gen_theta_loads_no_colimits():
     assert _loaded(_cli_call(argv)) == GEN_MODULES
 
 
+def test_atoms_of_a_shape_reference_loads_no_writer():
+    # The atom terms are rendered by the CLI itself.
+    loaded = _loaded(_cli_call(["atoms", "cube:2", "--json"]))
+    assert "steinerlab.steiner" in loaded and "steinerlab.io" not in loaded
+
+
 def test_acceptance_loads_every_library_module():
     # The benchmark worker imports acceptance before it patches the modules
     # it finds loaded, so every module with a traced function must be here.

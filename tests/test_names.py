@@ -88,3 +88,40 @@ def test_parse_rejects_garbage():
         except ValueError:
             continue
         raise AssertionError(f"{bad!r} should not parse")
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        ("a.(", "'a.('"),
+        ("x" * 40, "'" + "x" * 40 + "'"),
+        ("x" * 41, "'" + "x" * 40 + "'..."),
+        (("j", ("0", "1")), "j.(0.1)"),
+        (("a" * 50,), "a" * 40 + "..."),
+        (-7, "-7"),
+        (True, "True"),
+        (2**100 - 1, str(2**100 - 1)),
+        (2**100, "at least 2**100"),
+        (-(10**3000), "at most -2**9965"),
+        (0.5, "0.5"),
+        (None, "None"),
+        (list(range(3000)), "[0, 1, 2, 3, 4, 5, ...]"),
+        ({"k": [[[[[[[[1]]]]]]]]}, "{'k': [[[[[[...]]]]]]}"),
+    ],
+    ids=["string", "40 characters", "41 characters", "name", "long name", "integer",
+         "boolean", "100 bits", "101 bits", "-3000 digits", "float", "null",
+         "long list", "deep object"],
+)
+def test_shown_bounds_every_value(value, text):
+    """A string is quoted and cut to 40 characters, a name rendered and cut,
+    an integer past 100 bits shown by its leading power of two, and any other
+    value by a bounded ``repr``."""
+    from steinerlab.names import shown
+
+    assert shown(value) == text
+
+
+def test_parse_errors_quote_at_most_40_characters():
+    with pytest.raises(ValueError) as err:
+        parse_name("a" * 3000 + ")")
+    assert str(err.value) == "trailing characters in name '" + "a" * 40 + "'..."

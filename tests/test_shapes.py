@@ -38,6 +38,7 @@ from steinerlab import (
     wedge_with_legs,
     zero,
 )
+from steinerlab.core import SizeLimitError
 from steinerlab.names import MAX_NAME_DEPTH
 from steinerlab.shapes import EmptyComplexError, disk_top_gen
 from steinerlab.steiner import is_steiner
@@ -300,6 +301,58 @@ def test_decomposition_checks_stop_at_a_colimit_that_is_not_based(monkeypatch):
             (f"{family}:{n}:ATTACH_VALID", True, None),
             (f"{family}:{n}:COLIMIT_BASED", False, "degree 1: torsion quotient"),
         ]
+
+def test_decomposition_checks_report_an_induced_map_that_does_not_decode(monkeypatch):
+    """An induced image that is not one generator with coefficient 1 fails
+    INDUCED_ISO, and the comparison with the expected shape is not made."""
+    from steinerlab import shapes
+
+    def refuse(chain):
+        raise MalformedError("not one generator with coefficient 1")
+
+    monkeypatch.setattr(shapes, "sole_generator", refuse)
+    assert _items(boundary_decomposition_check("cube", 2)) == [
+        ("cube:2:COLIMIT_BASED", True, None),
+        ("cube:2:INDUCED_ISO", False, None),
+        ("cube:2:COLIMIT_VALID", True, None),
+    ]
+    assert _items(top_cell_decomposition_check("oriental", 2)) == [
+        ("oriental:2:UNIQUE_TOP_CELL", True, "1"),
+        ("oriental:2:ATTACH_VALID", True, None),
+        ("oriental:2:COLIMIT_BASED", True, None),
+        ("oriental:2:INDUCED_ISO", False, None),
+    ]
+
+
+def test_top_cell_decomposition_stops_at_two_top_cells(monkeypatch):
+    from steinerlab import shapes
+
+    two_edges = theta(ThetaSpec((1, 1), (0,), (("target", "source"),)))
+    monkeypatch.setattr(shapes, "cube", lambda n: two_edges)
+    assert _items(top_cell_decomposition_check("cube", 1)) == [
+        ("cube:1:UNIQUE_TOP_CELL", False, "2"),
+    ]
+
+
+@pytest.mark.parametrize("build", [cube, oriental, antioriental, oriental_via_join])
+def test_dimensions_past_the_int_text_limit_are_refused_by_size(build):
+    """10**4400 has more digits than the interpreter turns into text; its
+    refusal shows the count by powers of two."""
+    with pytest.raises(SizeLimitError) as err:
+        build(10**4400)
+    assert str(err.value) == (
+        "complex with at least 2**at least 2**14616 generators exceeds"
+        " STEINERLAB_MAX_GENERATORS"
+    )
+
+
+def test_oriental_via_join_refuses_as_oriental_does(monkeypatch):
+    with pytest.raises(BadDimsError, match="^oriental dimension must be >= 0, got -1$"):
+        oriental_via_join(-1)
+    monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", "30")
+    with pytest.raises(SizeLimitError, match="^complex with 31 generators exceeds"):
+        oriental_via_join(4)
+
 
 def test_disks_build_deep_in_the_stack():
     """Disks iterate suspensions in a loop: a few frames at any dimension,
