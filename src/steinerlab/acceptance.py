@@ -3,7 +3,9 @@
 Each criterion function returns a :class:`CheckReport`; ``run_all`` runs the
 battery in order.  All randomness is seeded, so the battery is deterministic
 across runs.  Bounds follow the stated criteria; everything is exact integer
-equality, there are no tolerances anywhere.
+equality, there are no tolerances anywhere.  Each criterion lists its cases
+in one table and checks each row the same way; an item over a sub-report is
+built by ``core._summary``, so a failing one names where it failed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     CheckReport,
     ComplexMap,
     _first_failure,
+    _summary,
     equal_presentation,
     graded_counts,
     invert_basis_bijection,
@@ -76,7 +79,7 @@ from .shapes import (
     theta,
     top_cell_decomposition_check,
 )
-from .steiner import atom_table, is_steiner, is_strongly_loopfree
+from .steiner import atom_table, is_steiner, is_strongly_loopfree, unitality_check
 
 
 # -- deterministic random inputs -----------------------------------------------
@@ -164,43 +167,36 @@ def fixture_loop() -> BasedComplex:
 
 
 def criterion_validity() -> CheckReport:
-    items: list[CheckItem] = []
-
-    def battery(label: str, c: BasedComplex) -> None:
-        ok = validate_complex(c).passed and is_steiner(c).passed
-        items.append(CheckItem(f"valid+steiner:{label}", ok))
-
-    for n in range(9):
-        battery(f"disk({n})", disk(n))
-        battery(f"boundary_disk({n})", boundary_disk(n))
-        battery(f"oriental({n})", oriental(n))
-        battery(f"antioriental({n})", antioriental(n))
-    for n in range(7):
-        battery(f"cube({n})", cube(n))
+    """Each shape is Steiner; :func:`is_steiner` validates it first."""
+    families = (
+        ("disk", disk), ("boundary_disk", boundary_disk),
+        ("oriental", oriental), ("antioriental", antioriental),
+    )
+    cases = [(f"{family}({n})", build(n)) for n in range(9) for family, build in families]
+    cases += [(f"cube({n})", cube(n)) for n in range(7)]
     rng = random.Random(_SEED)
     for idx in range(25):
         spec = random_theta_spec(rng, max_dim=3, max_disks=4)
-        battery(f"theta#{idx}:{spec.dims}|{spec.glue}", theta(spec))
-    return report(*items)
+        cases.append((f"theta#{idx}:{spec.dims}|{spec.glue}", theta(spec)))
+    return report(*(_summary(f"valid+steiner:{label}", is_steiner(c)) for label, c in cases))
 
 
 # -- criterion 2: counting oracles ---------------------------------------------------
 
+# Each family, the dimensions checked, and its number of k-cells in dimension n.
+_COUNTS = (
+    ("cube", cube, range(7), lambda n, k: comb(n, k) * 2 ** (n - k)),
+    ("oriental", oriental, range(9), lambda n, k: comb(n + 1, k + 1)),
+)
+
 
 def criterion_counts() -> CheckReport:
     items: list[CheckItem] = []
-    for n in range(7):
-        counts = graded_counts(cube(n))
-        expected = {k: comb(n, k) * 2 ** (n - k) for k in range(n + 1)}
-        ok = counts == expected and sum(counts.values()) == 3**n
-        items.append(CheckItem(f"cube({n}) counts", ok, None if ok else str(counts)))
-    for n in range(9):
-        counts = graded_counts(oriental(n))
-        expected = {k: comb(n + 1, k + 1) for k in range(n + 1)}
-        ok = counts == expected
-        items.append(
-            CheckItem(f"oriental({n}) counts", ok, None if ok else str(counts))
-        )
+    for family, build, dims, count in _COUNTS:
+        for n in dims:
+            counts = graded_counts(build(n))
+            ok = counts == {k: count(n, k) for k in range(n + 1)}
+            items.append(CheckItem(f"{family}({n}) counts", ok, None if ok else str(counts)))
     return report(*items)
 
 
@@ -208,10 +204,10 @@ def criterion_counts() -> CheckReport:
 
 
 def criterion_join_oracles() -> CheckReport:
-    items: list[CheckItem] = []
-    for n in range(7):
-        ok = oriental_via_join(n) == oriental(n)
-        items.append(CheckItem(f"oriental_via_join({n})", ok))
+    items = [
+        CheckItem(f"oriental_via_join({n})", oriental_via_join(n) == oriental(n))
+        for n in range(7)
+    ]
     cases = [(f"disk({k})", disk(k)) for k in range(4)]
     cases += [(f"oriental({k})", oriental(k)) for k in range(4)]
     cases.append(("cube(2)", cube(2)))
@@ -222,15 +218,6 @@ def criterion_join_oracles() -> CheckReport:
 
 
 # -- criterion 4: duality identities -----------------------------------------------------
-
-
-def _is_iso(f: ComplexMap, inv: ComplexMap) -> bool:
-    """``f`` and ``inv`` are valid maps and mutually inverse."""
-    return (
-        validate_map(f).passed
-        and validate_map(inv).passed
-        and verify_mutually_inverse(f, inv).passed
-    )
 
 
 def criterion_dualities() -> CheckReport:
@@ -252,23 +239,29 @@ def criterion_dualities() -> CheckReport:
         ("oriental(2)", oriental(2)),
         ("cube(2)", cube(2)),
     ]
-    for la, a in pairs:
-        for lb, b in pairs:
-            for which, swap in (("op", swap_iso_op), ("co", swap_iso_co)):
-                f = swap(a, b)
-                ok = _is_iso(f, invert_basis_bijection(f))
-                items.append(CheckItem(f"swap_{which}:{la}*{lb}", ok))
-    for n in range(6):
-        for which in ("op", "co"):
-            f = cube_selfduality(n, which)
-            ok = _is_iso(f, invert_basis_bijection(f))
-            items.append(CheckItem(f"cube_selfduality({n},{which})", ok))
+    bijections = [
+        (f"swap_{which}:{la}*{lb}", swap(a, b))
+        for la, a in pairs
+        for lb, b in pairs
+        for which, swap in (("op", swap_iso_op), ("co", swap_iso_co))
+    ]
+    bijections += [
+        (f"cube_selfduality({n},{which})", cube_selfduality(n, which))
+        for n in range(6)
+        for which in ("op", "co")
+    ]
+    # Each candidate isomorphism with its inverse: both valid, mutually inverse.
+    isos = [(label, f, invert_basis_bijection(f)) for label, f in bijections]
     rng = random.Random(_SEED + 1)
     for idx in range(50):
         c = random_steiner_complex(rng)
         f = susp_coop_iso(c)
-        ok = _is_iso(f, ComplexMap(f.target, f.source, f.assignment))
-        items.append(CheckItem(f"susp_coop_iso#{idx}(size={c.size})", ok))
+        inverse = ComplexMap(f.target, f.source, f.assignment)
+        isos.append((f"susp_coop_iso#{idx}(size={c.size})", f, inverse))
+    items += [
+        _summary(label, validate_map(f), validate_map(inv), verify_mutually_inverse(f, inv))
+        for label, f, inv in isos
+    ]
     return report(*items)
 
 
@@ -276,29 +269,24 @@ def criterion_dualities() -> CheckReport:
 
 
 def criterion_retractions() -> CheckReport:
-    ok = RetractionPair(s2(), q2()).verify().passed
-    items = [CheckItem("q2 after s2 is the identity", ok)]
-    for label, a in [
-        ("unit", unit()),
-        ("interval", interval()),
-        ("oriental(2)", oriental(2)),
-        ("cube(2)", cube(2)),
-    ]:
-        ok = RetractionPair(phi_map(a), rho_map(a)).verify().passed
-        items.append(CheckItem(f"phi sections rho:{label}", ok))
-    for n in range(5):
-        items.append(
-            CheckItem(f"section_q_cube({n})", section_q_cube(n).verify().passed)
-        )
-    for n in range(5):
-        items.append(CheckItem(f"section_xi({n})", section_xi(n).verify().passed))
-    for n in range(4):
-        items.append(CheckItem(f"section_ell({n})", section_ell(n).verify().passed))
-    for total in range(5):
-        for n in range(total + 1):
-            m = total - n
-            ok = RetractionPair(zeta(n, m), theta_left_inverse(n, m)).verify().passed
-            items.append(CheckItem(f"zeta/theta({n},{m})", ok))
+    pairs = [("q2 after s2 is the identity", RetractionPair(s2(), q2()))]
+    pairs += [
+        (f"phi sections rho:{label}", RetractionPair(phi_map(a), rho_map(a)))
+        for label, a in [
+            ("unit", unit()),
+            ("interval", interval()),
+            ("oriental(2)", oriental(2)),
+            ("cube(2)", cube(2)),
+        ]
+    ]
+    pairs += [(f"section_q_cube({n})", section_q_cube(n)) for n in range(5)]
+    pairs += [(f"section_xi({n})", section_xi(n)) for n in range(5)]
+    pairs += [(f"section_ell({n})", section_ell(n)) for n in range(4)]
+    splits = [(n, total - n) for total in range(5) for n in range(total + 1)]
+    pairs += [
+        (f"zeta/theta({n},{m})", RetractionPair(zeta(n, m), theta_left_inverse(n, m)))
+        for n, m in splits
+    ]
     rng = random.Random(_SEED + 2)
     specs: list[ThetaSpec] = []
     while len(specs) < 10:
@@ -310,36 +298,25 @@ def criterion_retractions() -> CheckReport:
         n_target = (
             pair.retract.source.top_degree if pair.retract.source.degrees else 0
         )
-        items.append(
-            CheckItem(
-                f"theta_retract#{idx}:{spec.dims}|{spec.glue}->oriental({n_target})",
-                pair.verify().passed,
-            )
-        )
-    return report(*items)
+        label = f"theta_retract#{idx}:{spec.dims}|{spec.glue}->oriental({n_target})"
+        pairs.append((label, pair))
+    return report(*(_summary(label, pair.verify()) for label, pair in pairs))
 
 
 # -- criterion 6: decomposition colimits -----------------------------------------------------
 
 
 def criterion_decompositions() -> CheckReport:
-    items: list[CheckItem] = []
-    for label, check, family, dims in (
-        ("boundary_decomposition", boundary_decomposition_check, "oriental", range(2, 7)),
-        ("boundary_decomposition", boundary_decomposition_check, "cube", range(2, 6)),
-        ("top_cell_decomposition", top_cell_decomposition_check, "oriental", range(2, 7)),
-        ("top_cell_decomposition", top_cell_decomposition_check, "cube", range(2, 6)),
-    ):
-        for n in dims:
-            sub = check(family, n)
-            items.append(
-                CheckItem(
-                    f"{label}({family},{n})",
-                    sub.passed,
-                    None if sub.passed else sub.failures()[0].name,
-                )
-            )
-    return report(*items)
+    checks = (
+        ("boundary_decomposition", boundary_decomposition_check),
+        ("top_cell_decomposition", top_cell_decomposition_check),
+    )
+    return report(*(
+        _summary(f"{label}({family},{n})", check(family, n))
+        for label, check in checks
+        for family, dims in (("oriental", range(2, 7)), ("cube", range(2, 6)))
+        for n in dims
+    ))
 
 
 # -- criterion 7: atom and cell calculus -------------------------------------------------------
@@ -353,11 +330,11 @@ def _degenerate_at(t, dim: int):
 
 
 def _composable_pairs(pool):
-    """Indices (i, j, p) with pool[i] then pool[j] composable along p."""
+    """Triples (t, u, p) of tables in ``pool``, t then u composable along p."""
     return [
-        (i, j, p)
-        for i, t in enumerate(pool)
-        for j, u in enumerate(pool)
+        (t, u, p)
+        for t in pool
+        for u in pool
         if t.dim == u.dim
         for p in range(t.dim)
         if _glues(t, u, p)
@@ -391,70 +368,39 @@ def criterion_cells() -> CheckReport:
             for _, g in shape.all_generators()
         ]
         pairs = _composable_pairs(pool)
-        composites = [compose_tables(pool[j], pool[i], p) for i, j, p in pairs]
-        seen = set()
-        extended = []
-        for t_ in pool + composites:
-            key = (tuple(t_.minus), tuple(t_.plus))
-            if key not in seen:
-                seen.add(key)
-                extended.append(t_)
-        assoc_checked = 0
-        assoc_ok = True
-        for i, j, p in _composable_pairs(extended):
-            left = compose_tables(extended[j], extended[i], p)
-            for u in extended:
-                if _glues(left, u, p):
-                    one = compose_tables(u, left, p)
-                    right = compose_tables(
-                        compose_tables(u, extended[j], p), extended[i], p
-                    )
-                    assoc_ok = assoc_ok and one == right
-                    assoc_checked += 1
+        extended = list(dict.fromkeys(pool + [compose_tables(u, t, p) for t, u, p in pairs]))
+        assoc = [
+            compose_tables(w, left, p) == compose_tables(compose_tables(w, u, p), t, p)
+            for t, u, p in _composable_pairs(extended)
+            for left in (compose_tables(u, t, p),)
+            for w in extended
+            if _glues(left, w, p)
+        ]
         items.append(
             CheckItem(
-                f"associativity on {label} ({assoc_checked} triples)",
-                assoc_ok and assoc_checked > 0,
+                f"associativity on {label} ({len(assoc)} triples)",
+                bool(assoc) and all(assoc),
             )
         )
-        unit_ok = True
-        for t_ in pool:
-            for p in range(t_.dim):
-                left_unit = _degenerate_at(source(t_, p), t_.dim)
-                right_unit = _degenerate_at(target(t_, p), t_.dim)
-                unit_ok = (
-                    unit_ok
-                    and compose_tables(t_, left_unit, p) == t_
-                    and compose_tables(right_unit, t_, p) == t_
-                )
+        unit_ok = all(
+            compose_tables(t_, _degenerate_at(source(t_, p), t_.dim), p) == t_
+            and compose_tables(_degenerate_at(target(t_, p), t_.dim), t_, p) == t_
+            for t_ in pool
+            for p in range(t_.dim)
+        )
         items.append(CheckItem(f"identity tables are units on {label}", unit_ok))
-        inter_checked = 0
-        inter_ok = True
-        for i, j, p in pairs:
-            for k, l, p2 in pairs:
-                if p2 != p:
-                    continue
-                a, b, c, d = pool[i], pool[j], pool[k], pool[l]
-                for q in range(p + 1, a.dim):
-                    if not (_glues(a, c, q) and _glues(b, d, q)):
-                        continue
-                    rows = compose_tables(
-                        compose_tables(d, c, p), compose_tables(b, a, p), q
-                    )
-                    cols = compose_tables(
-                        compose_tables(d, b, q), compose_tables(c, a, q), p
-                    )
-                    inter_ok = inter_ok and rows == cols
-                    inter_checked += 1
-        items.append(
-            CheckItem(
-                f"interchange on {label} ({inter_checked} squares)", inter_ok
-            )
-        )
+        inter = [
+            compose_tables(compose_tables(d, c, p), compose_tables(b, a, p), q)
+            == compose_tables(compose_tables(d, b, q), compose_tables(c, a, q), p)
+            for a, b, p in pairs
+            for c, d, p2 in pairs
+            if p2 == p
+            for q in range(p + 1, a.dim)
+            if _glues(a, c, q) and _glues(b, d, q)
+        ]
+        items.append(CheckItem(f"interchange on {label} ({len(inter)} squares)", all(inter)))
 
-    loop = fixture_loop()
-    loop_report = is_strongly_loopfree(loop)
-    loop_item = loop_report.checks[0]
+    loop_item = is_strongly_loopfree(fixture_loop()).checks[0]
     items.append(
         CheckItem(
             "loop fixture fails with a cycle witness",
@@ -468,52 +414,33 @@ def criterion_cells() -> CheckReport:
 # -- criterion 8: robustness ---------------------------------------------------------------------
 
 
-def criterion_robustness() -> CheckReport:
-    items: list[CheckItem] = []
-    d2 = validate_complex(fixture_broken_d2())
-    by_name = {item.name: item for item in d2.checks}
-    items.append(
-        CheckItem(
-            "d2 fixture fails D2_ZERO with witness",
-            (not by_name["D2_ZERO"].passed)
-            and by_name["D2_ZERO"].witness == "c"
-            and by_name["AUG_KILLS_D1"].passed,
-        )
-    )
-    aug = validate_complex(fixture_broken_augmentation())
-    by_name = {item.name: item for item in aug.checks}
-    items.append(
-        CheckItem(
-            "augmentation fixture fails AUG_KILLS_D1 with witness",
-            (not by_name["AUG_KILLS_D1"].passed)
-            and by_name["AUG_KILLS_D1"].witness == "e"
-            and by_name["D2_ZERO"].passed,
-        )
-    )
-    nu = fixture_non_unital()
-    from .steiner import unitality_check
+# Each negative fixture, the check it fails, and the one item failing there
+# with its witness.
+_FIXTURES = (
+    ("d2", fixture_broken_d2, validate_complex, "D2_ZERO", "c"),
+    ("augmentation", fixture_broken_augmentation, validate_complex, "AUG_KILLS_D1", "e"),
+    ("non-unital", fixture_non_unital,
+     lambda c: validate_complex(c).merged(unitality_check(c)), "UNITALITY", "e"),
+)
 
-    unital = unitality_check(nu)
-    items.append(
+
+def _round_trips(value) -> bool:
+    text = emit(value)
+    again = parse(text)
+    return again == value and emit(again) == text
+
+
+def criterion_robustness() -> CheckReport:
+    items = [
         CheckItem(
-            "non-unital fixture fails UNITALITY with witness",
-            validate_complex(nu).passed
-            and not unital.passed
-            and unital.checks[0].witness == "e",
+            f"{label} fixture fails {name} with witness",
+            [(i.name, i.witness) for i in check(fixture()).failures()] == [(name, witness)],
         )
-    )
-    lib = shape_library()
-    stable = True
-    for label, c in lib.items():
-        text = emit(c)
-        again = parse(text)
-        if again != c or emit(again) != text:
-            stable = False
-            break
+        for label, fixture, check, name, witness in _FIXTURES
+    ]
+    stable = all(_round_trips(c) for c in shape_library().values())
     items.append(CheckItem("serialization round-trips byte-stably", stable))
-    f = s2()
-    stable_map = parse(emit(f)) == f and emit(parse(emit(f))) == emit(f)
-    items.append(CheckItem("map serialization round-trips byte-stably", stable_map))
+    items.append(CheckItem("map serialization round-trips byte-stably", _round_trips(s2())))
     return report(*items)
 
 

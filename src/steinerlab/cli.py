@@ -329,10 +329,13 @@ def _cmd_check(args) -> int:
             else top_cell_decomposition_check
         )
         report = fn(args.params[0], n)
-    else:  # identities; argparse refuses any other suite
+    elif which == "identities":
         from . import acceptance
 
         report = acceptance.criterion_dualities()
+    else:
+        from .names import shown
+        raise UsageError(f"unknown suite {shown(which)}")
     return _print_report(report, args.json)
 
 
@@ -359,10 +362,13 @@ def _cmd_verify_retract(args) -> int:
         n, m = _ints(args.params, "dimensions")
         z, t = zeta(n, m), theta_left_inverse(n, m)
         pair = RetractionPair(z, t)
-    else:  # theta; argparse refuses any other kind
+    elif kind == "theta":
         if len(args.params) != 1:
             raise UsageError("verify-retract theta takes a dims list")
         pair = theta_retract_into_oriental(_theta_spec(args.params[0], args))
+    else:
+        from .names import shown
+        raise UsageError(f"unknown retraction {shown(kind)}")
     return _print_report(pair.verify(), args.json)
 
 
@@ -427,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_atoms.set_defaults(fn=_cmd_atoms)
 
     p_check = sub.add_parser("check", help="run a named verification suite")
-    p_check.add_argument("suite", choices=["steiner", "boundary-decomp", "top-cell", "identities"])
+    p_check.add_argument("suite", help="steiner, boundary-decomp, top-cell or identities")
     p_check.add_argument("params", nargs="*")
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(fn=_cmd_check)
 
     p_verify = sub.add_parser("verify-retract", help="build and verify a retraction pair")
-    p_verify.add_argument("kind", choices=["xi", "q-cube", "ell", "zeta", "theta"])
+    p_verify.add_argument("kind", help="xi, q-cube, ell, zeta or theta")
     p_verify.add_argument("params", nargs="*")
     p_verify.add_argument("--glue", default="")
     p_verify.add_argument("--sides", default="")

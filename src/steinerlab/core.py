@@ -424,9 +424,8 @@ class BasedComplex:
             stray = [h for h in chain._coeffs if gen_degree.get(h) != degree - 1]
             if stray:
                 raise MalformedError(
-                    f"differential of {shown(g)} references"
+                    f"differential of {shown(g)} has stray term"
                     f" {shown(min(stray, key=name_key))}"
-                    " at the wrong degree or not at all"
                 )
             diff_map[g] = chain
         for degree, gens in deg_map.items():
@@ -577,8 +576,8 @@ class ComplexMap:
                 stray = [h for h in chain._coeffs if target_degree(h) != degree]
                 if stray:
                     raise MalformedError(
-                        f"assignment of {shown(g)} references bad target"
-                        f" generator {shown(min(stray, key=name_key))}"
+                        f"assignment of {shown(g)} has stray term"
+                        f" {shown(min(stray, key=name_key))}"
                     )
                 asg[g] = chain
         if len(assignment) > len(asg):
@@ -623,6 +622,16 @@ def _first_failure(name: str, witnesses: Iterable[str]) -> CheckItem:
     (taking nothing past it), or passing when it yields none."""
     witness = next(iter(witnesses), None)
     return CheckItem(name, witness is None, witness)
+
+
+def _summary(name: str, *reports: CheckReport) -> CheckItem:
+    """The item ``name`` over ``reports``: it passes iff every report passes,
+    and fails at the first failing item of the first failing report, shown as
+    ``NAME at WITNESS``, or ``NAME`` alone when that item has no witness."""
+    failing = (item for sub in reports for item in sub.checks if not item.passed)
+    return _first_failure(
+        name, (f"{i.name} at {i.witness}" if i.witness else i.name for i in failing)
+    )
 
 
 def _d2_failures(c: BasedComplex) -> Iterator[Name]:

@@ -95,16 +95,26 @@ def render_name(name: Name) -> str:
 def shown(value: object) -> str:
     """``value`` as every refusal message shows it: a string quoted, a name
     rendered and any other value by a bounded ``repr``, each cut to 40
-    characters, and an integer past 100 bits by its leading power of two."""
+    characters, and an integer past 100 bits by its leading power of two.
+
+    The text is cut further to 40 bytes of UTF-8, or 82 for a quoted string
+    (room for 40 escaped characters), so printable ASCII is cut by characters
+    alone."""
     if isinstance(value, int) and value.bit_length() > _SHOWN_BITS:
         bound = "at most -2**" if value < 0 else "at least 2**"
         return bound + str(value.bit_length() - 1)
     if isinstance(value, str):
-        return repr(value[:_SHOWN_CHARS]) + ("..." if len(value) > _SHOWN_CHARS else "")
-    import reprlib  # bounds the nesting and the length of lists and objects
+        text, size = repr(value[:_SHOWN_CHARS]), 2 * _SHOWN_CHARS + 2
+        more = len(value) > _SHOWN_CHARS
+    else:
+        import reprlib  # bounds the nesting and the length of lists and objects
 
-    text = render_name(value) if isinstance(value, tuple) else reprlib.repr(value)
-    return text[:_SHOWN_CHARS] + ("..." if len(text) > _SHOWN_CHARS else "")
+        text = render_name(value) if isinstance(value, tuple) else reprlib.repr(value)
+        text, size, more = text[:_SHOWN_CHARS], _SHOWN_CHARS, len(text) > _SHOWN_CHARS
+    data = text.encode(errors="backslashreplace")  # as a stream writes it
+    if len(data) > size:  # a character cut in two is dropped
+        text, more = data[:size].decode(errors="ignore"), True
+    return text + ("..." if more else "")
 
 
 def parse_name(text: str) -> Name:

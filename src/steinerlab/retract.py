@@ -32,6 +32,7 @@ from .core import (
     _Record,
     _set_field,
     _sized_memo,
+    _summary,
     basis_renaming_map,
     chain_of,
     compose,
@@ -80,8 +81,8 @@ class RetractionPair(_Record):
         idem = compose(self.retract, self.embed)
         idem_ok = compose(idem, idem) == idem
         return report(
-            CheckItem("EMBED_VALID", validate_map(self.embed).passed),
-            CheckItem("RETRACT_VALID", validate_map(self.retract).passed),
+            _summary("EMBED_VALID", validate_map(self.embed)),
+            _summary("RETRACT_VALID", validate_map(self.retract)),
             CheckItem("COMPOSITE_IDENTITY", round_trip),
             CheckItem("SPLITTING_IDEMPOTENT", idem_ok),
         )

@@ -31,6 +31,7 @@ from .core import (
     _glued,
     _set_field,
     _sized_memo,
+    _summary,
     basis_renaming_map,
     chain_of,
     check_size,
@@ -506,11 +507,7 @@ def boundary_decomposition_check(family: str, n: int) -> CheckReport:
     induced = induced_from_coequalizer(result, cocone)
     items += _induced_iso_items(f"{family}:{n}", induced, "TRUNCATION", boundary)
     items.append(
-        CheckItem(
-            f"{family}:{n}:COLIMIT_VALID",
-            validate_complex(result.require_based()).passed,
-            None,
-        )
+        _summary(f"{family}:{n}:COLIMIT_VALID", validate_complex(result.require_based()))
     )
     return report(*items)
 
@@ -540,9 +537,7 @@ def top_cell_decomposition_check(family: str, n: int) -> CheckReport:
         attach_assignment[disk_side_gen(k, "target")] = table.plus[k]
     attach = ComplexMap(bd, boundary, attach_assignment)
     include = basis_renaming_map(bd, disk(n), lambda g: g)
-    items.append(
-        CheckItem(f"{family}:{n}:ATTACH_VALID", validate_map(attach).passed, None)
-    )
+    items.append(_summary(f"{family}:{n}:ATTACH_VALID", validate_map(attach)))
     # The disk side goes first so its generators take the l tag: unit pivots
     # then eliminate the disk copy of the boundary, leaving the shape's own
     # basis plus the attached top cell as survivors.

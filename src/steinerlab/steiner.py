@@ -26,16 +26,18 @@ from .core import (
     CheckItem,
     CheckReport,
     DegreeMismatchError,
+    SizeLimitError,
     _adopt,
     _first_failure,
     _Record,
     _set_field,
     add_scaled,
     chain_of,
+    max_generators,
     report,
     validate_complex,
 )
-from .names import Name, name_key, render_name
+from .names import Name, name_key, render_name, shown
 
 
 def _split(dx: dict[Name, int]) -> tuple[dict[Name, int], dict[Name, int]]:
@@ -56,8 +58,14 @@ def pos_neg_parts(c: BasedComplex, x: Chain) -> tuple[Chain, Chain]:
 
 def atom_table(c: BasedComplex, b: Name) -> CellTable:
     """The canonical cell of a generator: equal top entries, descending
-    through positive/negative parts of the whole chain at each level."""
+    through positive/negative parts of the whole chain at each level.  A
+    table of more levels than the complex has generators is refused unbuilt
+    if it also has more than the generator limit."""
     n = c.degree_of(b)
+    if n >= len(c._gen_degree) and n >= max_generators():
+        raise SizeLimitError(
+            f"atom table of {shown(n + 1)} levels exceeds STEINERLAB_MAX_GENERATORS"
+        )
     top = chain_of(n, b)
     minus, plus = [top], [top]
     for k in range(n, 0, -1):
@@ -71,9 +79,12 @@ def atom_table(c: BasedComplex, b: Name) -> CellTable:
 
 def _plus_floor(c: BasedComplex, b: Name) -> Chain:
     """``atom_table(c, b).plus[0]`` on a complex with ``d∘d = 0``, reached
-    through one differential and its positive part per level."""
+    through one differential and its positive part per level.  The walk stops
+    at an empty part, whose floor is zero whatever the degree."""
     part = {b: 1}
     for _ in range(c.degree_of(b)):
+        if not part:
+            break
         dx: dict[Name, int] = {}
         for name, coeff in part.items():
             add_scaled(dx, c.diff[name]._coeffs, coeff)

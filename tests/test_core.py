@@ -237,6 +237,17 @@ def test_first_failure_stops_at_the_first_witness():
     assert next(witnesses) == "b"  # nothing past the first is taken
 
 
+def test_summary_fails_at_the_first_failing_item_of_the_first_failing_report():
+    from steinerlab.core import _summary, report
+
+    good = report(CheckItem("A", True, "extension"))
+    bare = report(CheckItem("B", True), CheckItem("C", False), CheckItem("D", False, "d"))
+    witnessed = report(CheckItem("E", False, "e"))
+    assert _summary("X") == _summary("X", good) == CheckItem("X", True, None)
+    assert _summary("X", good, bare, witnessed) == CheckItem("X", False, "C")
+    assert _summary("X", witnessed, bare) == CheckItem("X", False, "E at e")
+
+
 _A, _E = ("a",), ("e",)
 
 
@@ -258,7 +269,7 @@ _A, _E = ("a",), ("e",)
         (lambda: ComplexMap(interval(), unit(), {}), "MALFORMED",
          "no assignment for generator 0"),
         (lambda: ComplexMap(unit(), unit(), {("u",): chain_of(0, ("v",))}), "MALFORMED",
-         "assignment of u references bad target generator v"),
+         "assignment of u has stray term v"),
         (lambda: interval().renamed(lambda g: ("x",)), "MALFORMED",
          "renaming is not injective"),
         (lambda: Chain(-1), "MALFORMED", "chain degree must be >= 0, got -1"),

@@ -154,3 +154,37 @@ def test_random_command_lines_exit_with_a_code_and_brief_errors(tmp_path, capsys
             assert len(line.encode()) < LINE_BYTES, (argv[:2], line[:300])
         codes.add(code)
     assert {0, 2} <= codes
+
+
+_WIDE = ["\U0001F600" * 50, "\U0001F601" * 50]  # 4 bytes a character
+
+
+def _stray_term_documents():
+    """Two refusals that each show two long names: a differential term and a
+    map term that name no generator of the right degree."""
+    from steinerlab import BasedComplex, Chain, ComplexMap, chain_of, unit
+
+    a, b = (_WIDE[0],), (_WIDE[1],)
+    c = BasedComplex({0: [("v",)], 1: [a, b]}, {a: Chain(0), b: Chain(0)}, {("v",): 1})
+    doc = json.loads(emit(c))
+    entry = next(e for e in doc["differential"] if e["generator"] == _WIDE[0])
+    entry["terms"] = [{"generator": _WIDE[1], "coeff": "1"}]
+    yield json.dumps(doc)
+    point = BasedComplex({0: [a]}, {}, {a: 1})
+    doc = json.loads(emit(ComplexMap(point, unit(), {a: chain_of(0, ("u",))})))
+    doc["assignment"][0]["terms"][0]["generator"] = _WIDE[1]
+    yield json.dumps(doc)
+
+
+def test_two_long_names_are_refused_briefly():
+    refusals = []
+    for text in _stray_term_documents():
+        try:
+            parse(text)
+        except SteinerlabError as exc:
+            _check_refusal(exc)
+            refusals.append(str(exc))
+    assert [message.split(" of ")[0] for message in refusals] == [
+        "structurally malformed complex: differential",
+        "structurally malformed map: assignment",
+    ]

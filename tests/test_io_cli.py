@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from steinerlab import (
+    BasedComplex,
+    Chain,
     ParseError,
     ValidationError,
     cube,
@@ -845,8 +847,12 @@ _HUGE = "1" * 3000  # a 3000-digit argument: 9962 bits
          "error [BAD_DIMS]: oriental dimension must be >= 0, got at most -2**9962"),
         (["info", "r" * 3000],
          "error [IO_ERROR]: [Errno 36] File name too long: '" + "r" * 40 + "'..."),
+        (["check", "c" * 3000], "usage error: unknown suite '" + "c" * 40 + "'..."),
+        (["verify-retract", "k" * 3000, "2"],
+         "usage error: unknown retraction '" + "k" * 40 + "'..."),
     ],
-    ids=["disk", "cube", "negative cube", "theta glue", "negative zeta", "long reference"],
+    ids=["disk", "cube", "negative cube", "theta glue", "negative zeta", "long reference",
+         "long suite", "long retraction"],
 )
 def test_cli_refusals_show_huge_arguments_briefly(argv, message, capsys):
     """A refusal shows an integer past 100 bits by its leading power of two
@@ -955,3 +961,30 @@ def test_parse_refuses_bad_maps(change, error, message):
         parse(json.dumps(doc))
     assert str(err.value) == message
     assert err.value.code == error.code
+
+
+def _far_degree_doc(degree: int) -> str:
+    """A vertex ``v`` and a generator ``e`` of ``degree`` with ``d(e) = 0``: a
+    valid complex, not unital at ``e``."""
+    doc = json.loads(emit(BasedComplex({0: [("v",)], 2: [("e",)]}, {("e",): Chain(1)},
+                                       {("v",): 1})))
+    doc["degrees"][1]["degree"] = degree
+    return json.dumps(doc)
+
+
+def test_cli_walks_no_degree_below_an_empty_part(tmp_path, capsys):
+    """``check steiner`` stops the unitality walk at ``e``'s empty boundary,
+    and ``atoms`` refuses a table of more levels than the generator limit."""
+    path = tmp_path / "far.json"
+    path.write_text(_far_degree_doc(10**50))
+    start = time.perf_counter()
+    assert main(["check", "steiner", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert "FAIL  UNITALITY  [e]\n" in capsys.readouterr().out
+    assert main(["atoms", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error [SIZE_LIMIT]: atom table of at least 2**166 levels exceeds"
+        " STEINERLAB_MAX_GENERATORS\n"
+    )

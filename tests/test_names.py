@@ -107,15 +107,23 @@ def test_parse_rejects_garbage():
         (None, "None"),
         (list(range(3000)), "[0, 1, 2, 3, 4, 5, ...]"),
         ({"k": [[[[[[[[1]]]]]]]]}, "{'k': [[[[[[...]]]]]]}"),
+        ("\\" * 40, repr("\\" * 40)),
+        ("\x00" * 50, "'" + "\\x00" * 20 + "\\..."),
+        ("\U0001F600" * 50, "'" + "\U0001F600" * 20 + "..."),
+        (("\U0001F600" * 50,), "\U0001F600" * 10 + "..."),
+        (("é" * 50,), "é" * 20 + "..."),
+        (("\ud800" * 50,), "\\ud800" * 6 + "\\ud8..."),
     ],
     ids=["string", "40 characters", "41 characters", "name", "long name", "integer",
          "boolean", "100 bits", "101 bits", "-3000 digits", "float", "null",
-         "long list", "deep object"],
+         "long list", "deep object", "40 backslashes", "escaped", "wide string",
+         "wide name", "two-byte name", "lone surrogates"],
 )
 def test_shown_bounds_every_value(value, text):
     """A string is quoted and cut to 40 characters, a name rendered and cut,
     an integer past 100 bits shown by its leading power of two, and any other
-    value by a bounded ``repr``."""
+    value by a bounded ``repr``.  Past printable ASCII the text is cut to 40
+    bytes as a stream writes them, 82 for a quoted string, then "..."."""
     from steinerlab.names import shown
 
     assert shown(value) == text

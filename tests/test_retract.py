@@ -323,3 +323,23 @@ def test_negative_dimensions_are_refused(build):
 def test_theta_retract_refuses_negative_disks():
     with pytest.raises(BadDimsError):
         theta_retract_into_oriental(ThetaSpec((-1,)))
+
+
+def test_verify_names_where_an_invalid_map_fails():
+    """``EMBED_VALID`` and ``RETRACT_VALID`` fail at the first failing check
+    of their map, with its witness."""
+    from steinerlab import ComplexMap
+
+    i = interval()
+    collapse = ComplexMap(
+        i, i, {("0",): chain_of(0, ("0",)), ("1",): chain_of(0, ("1",)), ("i",): Chain(1)}
+    )
+    for embed, retract, verdicts in (
+        (collapse, identity_map(i), [(False, "CHAIN_RULE at i"), (True, None)]),
+        (identity_map(i), collapse, [(True, None), (False, "CHAIN_RULE at i")]),
+    ):
+        checks = RetractionPair(embed, retract).verify().checks
+        assert [(c.name, c.passed, c.witness) for c in checks[:2]] == [
+            ("EMBED_VALID", *verdicts[0]),
+            ("RETRACT_VALID", *verdicts[1]),
+        ]

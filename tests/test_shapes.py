@@ -5,6 +5,7 @@ from math import comb
 
 from steinerlab import (
     BadDimsError,
+    BasedComplex,
     Chain,
     MalformedError,
     NameDepthError,
@@ -322,6 +323,44 @@ def test_decomposition_checks_report_an_induced_map_that_does_not_decode(monkeyp
         ("oriental:2:COLIMIT_BASED", True, None),
         ("oriental:2:INDUCED_ISO", False, None),
     ]
+
+
+def test_top_cell_decomposition_names_where_the_attaching_map_fails(monkeypatch):
+    """An atom table whose level-zero plus entry is its minus entry gives an
+    attaching map that breaks the chain rule; ATTACH_VALID names where."""
+    from steinerlab import steiner
+    from steinerlab.cells import CellTable
+
+    real = steiner.atom_table
+
+    def bent(c, b):
+        t = real(c, b)
+        return CellTable(t.ambient, t.dim, t.minus, (t.minus[0],) + t.plus[1:])
+
+    monkeypatch.setattr(steiner, "atom_table", bent)
+    for family in ("cube", "oriental"):
+        items = _items(top_cell_decomposition_check(family, 2))
+        assert items[1] == (f"{family}:2:ATTACH_VALID", False, "CHAIN_RULE at s.(b0)")
+
+
+def test_boundary_decomposition_names_where_the_colimit_fails(monkeypatch):
+    """A coequalizer whose first vertex has augmentation -1 fails
+    COLIMIT_VALID at the first edge meeting that vertex."""
+    from steinerlab import colimits
+    from steinerlab.colimits import PushoutResult
+
+    real = colimits.coequalizer
+
+    def negative(*maps):
+        r = real(*maps)
+        c = r.complex
+        aug = {**c.aug, c.generators(0)[0]: -1}
+        return PushoutResult(BasedComplex(c.degrees, c.diff, aug), r.leg_a, r.leg_b, True)
+
+    monkeypatch.setattr(colimits, "coequalizer", negative)
+    for family, edge in (("cube", "(f.0.0).(i)"), ("oriental", "(f.0).(0.1)")):
+        items = _items(boundary_decomposition_check(family, 2))
+        assert items[-1] == (f"{family}:2:COLIMIT_VALID", False, f"AUG_KILLS_D1 at {edge}")
 
 
 def test_top_cell_decomposition_stops_at_two_top_cells(monkeypatch):

@@ -320,3 +320,30 @@ def test_one_sided_walk_matches_two_sided_atoms():
         for _, b in c.all_generators():
             assert _plus_floor(c, b) == atom_table(c, b).plus[0]
     assert non_unital
+
+
+def test_the_unitality_walk_stops_at_an_empty_part():
+    """A generator of degree 10**50 with zero boundary has floor zero: it
+    fails ``UNITALITY`` at once, without a walk through every degree."""
+    from steinerlab.steiner import _plus_floor
+
+    far = 10**50
+    c = BasedComplex({0: [("v",)], far: [("e",)]}, {("e",): Chain(far - 1)}, {("v",): 1})
+    assert _plus_floor(c, ("e",)) == Chain(0)
+    assert [(i.name, i.witness) for i in is_steiner(c).failures()] == [("UNITALITY", "e")]
+
+
+def test_atom_tables_past_the_generator_limit_are_refused(monkeypatch):
+    """A table of six levels over two generators is built under a limit of
+    six and refused under five; the three-generator interval's tables,
+    shorter than it is, are built whatever the limit."""
+    from steinerlab import SizeLimitError
+
+    c = BasedComplex({0: [("v",)], 5: [("e",)]}, {("e",): Chain(4)}, {("v",): 1})
+    monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", "6")
+    assert atom_table(c, ("e",)).dim == 5
+    monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", "5")
+    with pytest.raises(SizeLimitError, match="^atom table of 6 levels exceeds"):
+        atom_table(c, ("e",))
+    monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", "1")
+    assert atom_table(interval(), ("i",)).dim == 1
