@@ -330,6 +330,8 @@ def _cmd_check(args) -> int:
         )
         report = fn(args.params[0], n)
     elif which == "identities":
+        if args.params:
+            raise UsageError("check identities takes no inputs")
         from . import acceptance
 
         report = acceptance.criterion_dualities()

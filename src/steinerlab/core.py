@@ -700,6 +700,15 @@ def coproduct(parts: Iterable[tuple[Name, BasedComplex]]) -> BasedComplex:
 
     Each basis is the parts' bases concatenated in tag order, which is name
     order when the tags of non-empty parts differ."""
+    return _tagged_union(parts)[0]
+
+
+def _tagged_union(
+    parts: Iterable[tuple[Name, BasedComplex]],
+) -> tuple[BasedComplex, dict[Name, dict[Name, Name]]]:
+    """:func:`coproduct`, and for each tag of a non-empty part the table
+    from that part's generators to their names in the union (the last such
+    part's when two share a tag)."""
     parts = [(tag, part) for tag, part in parts if part.size]
     depth = 0
     for tag, part in parts:
@@ -709,20 +718,22 @@ def coproduct(parts: Iterable[tuple[Name, BasedComplex]]) -> BasedComplex:
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
     aug: dict[Name, int] = {}
+    tables: dict[Name, dict[Name, Name]] = {}
     for tag, part in parts:
+        new = tables[tag] = {g: (tag, g) for g in part._gen_degree}
         for deg, gens in part.degrees.items():
-            names = [(tag, g) for g in gens]
+            names = [new[g] for g in gens]
             degrees.setdefault(deg, []).extend(names)
             if deg == 0:
                 aug.update(zip(names, (part.aug[g] for g in gens)))
                 continue
             for name, g in zip(names, gens):
                 diff[name] = _adopt(
-                    deg - 1, {(tag, h): c for h, c in part.diff[g]._coeffs.items()}
+                    deg - 1, {new[h]: c for h, c in part.diff[g]._coeffs.items()}
                 )
-    if len({tag for tag, _ in parts}) == len(parts):
+    if len(tables) == len(parts):
         degrees = {deg: _Canonical(gens, depth) for deg, gens in degrees.items()}
-    return BasedComplex(degrees, diff, aug)
+    return BasedComplex(degrees, diff, aug), tables
 
 
 def direct_sum(a: BasedComplex, b: BasedComplex) -> BasedComplex:

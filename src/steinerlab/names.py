@@ -94,7 +94,8 @@ def render_name(name: Name) -> str:
 
 def shown(value: object) -> str:
     """``value`` as every refusal message shows it: a string quoted, a name
-    rendered and any other value by a bounded ``repr``, each cut to 40
+    rendered with its non-printable characters escaped as ``repr`` escapes
+    them, and any other value by a bounded ``repr``, each cut to 40
     characters, and an integer past 100 bits by its leading power of two.
 
     The text is cut further to 40 bytes of UTF-8, or 82 for a quoted string
@@ -109,12 +110,24 @@ def shown(value: object) -> str:
     else:
         import reprlib  # bounds the nesting and the length of lists and objects
 
-        text = render_name(value) if isinstance(value, tuple) else reprlib.repr(value)
+        if isinstance(value, tuple):
+            text = _escaped(render_name(value))
+        else:
+            text = reprlib.repr(value)
         text, size, more = text[:_SHOWN_CHARS], _SHOWN_CHARS, len(text) > _SHOWN_CHARS
     data = text.encode(errors="backslashreplace")  # as a stream writes it
     if len(data) > size:  # a character cut in two is dropped
         text, more = data[:size].decode(errors="ignore"), True
     return text + ("..." if more else "")
+
+
+def _escaped(text: str) -> str:
+    """``text`` with each non-printable character (a line break, a control
+    character, a lone surrogate) written as ``repr`` writes it, so a message
+    stays on one line; printable text is unchanged."""
+    if text.isprintable():
+        return text
+    return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in text)
 
 
 def parse_name(text: str) -> Name:

@@ -29,11 +29,11 @@ from .core import (
     MalformedError,
     _adopt,
     _Canonical,
+    _tagged_union,
     basis_renaming_map,
     chain_of,
     check_size,
     compose,
-    coproduct,
     direct_sum,
 )
 from .names import Name, check_depth
@@ -47,10 +47,23 @@ def _paired_depth(a: BasedComplex, b: BasedComplex) -> int:
     return check_depth(1 + max(a._depth, b._depth))
 
 
-def _ranked(c: BasedComplex) -> list[tuple[int, Name]]:
-    """``(degree, generator)`` in rank order.  Pairs ``(x, y)`` taken in the
-    order of ``(rank x, rank y)`` are in the name order of ``(tag, x, y)``."""
-    return [(c._gen_degree[g], g) for g in c._ranks()]
+def _ranked(c: BasedComplex) -> list[tuple[int, Name, list[tuple[int, int]]]]:
+    """``(degree, generator, differential)`` in rank order, the differential
+    as ``(rank, coeff)`` pairs (none on a vertex).  Pairs ``(x, y)`` taken
+    in the order of ``(rank x, rank y)`` are in the name order of
+    ``(tag, x, y)``."""
+    ranks, diff = c._ranks(), c.diff
+    ranked = []
+    for g in ranks:
+        degree = c._gen_degree[g]
+        terms = diff[g]._coeffs.items() if degree else ()
+        ranked.append((degree, g, [(ranks[h], k) for h, k in terms]))
+    return ranked
+
+
+def _pair_grid(tag: str, ranked_a: list, ranked_b: list) -> list[list[Name]]:
+    """The names ``(tag, x, y)``, row ``rank x`` and column ``rank y``."""
+    return [[(tag, x, y) for _, y, _ in ranked_b] for _, x, _ in ranked_a]
 
 
 def gray_tensor(a: BasedComplex, b: BasedComplex) -> BasedComplex:
@@ -63,22 +76,21 @@ def gray_tensor(a: BasedComplex, b: BasedComplex) -> BasedComplex:
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
     aug: dict[Name, int] = {}
-    ranked_b = _ranked(b)
-    for da, x in _ranked(a):
-        dx = a.diff[x]._coeffs if da else {}
+    ranked_a, ranked_b = _ranked(a), _ranked(b)
+    grid = _pair_grid("t", ranked_a, ranked_b)
+    for (da, x, dx), row in zip(ranked_a, grid):
         sign = -1 if da % 2 else 1
-        for db, y in ranked_b:
-            name = ("t", x, y)
+        for j, (db, y, dy) in enumerate(ranked_b):
+            name = row[j]
             degree = da + db
             degrees.setdefault(degree, []).append(name)
             if degree == 0:
                 aug[name] = a.aug[x] * b.aug[y]
                 continue
             # The two sums have different first factors, so no term cancels.
-            terms = {("t", xp, y): c for xp, c in dx.items()}
-            if db:
-                for yp, c in b.diff[y]._coeffs.items():
-                    terms[("t", x, yp)] = sign * c
+            terms = {grid[r][j]: c for r, c in dx}
+            for r, c in dy:
+                terms[row[r]] = sign * c
             diff[name] = _adopt(degree - 1, terms)
     canonical = {deg: _Canonical(gens, depth) for deg, gens in degrees.items()}
     return BasedComplex(canonical, diff, aug)
@@ -247,24 +259,27 @@ def join(a: BasedComplex, b: BasedComplex) -> BasedComplex:
     """
     check_size(a.size + b.size + a.size * b.size)
     depth = _paired_depth(a, b) if a.size or b.size else 0
-    outer = coproduct([("jl", a), ("jr", b)])
+    outer, tables = _tagged_union([("jl", a), ("jr", b)])
     degrees: dict[int, list[Name]] = {}
     diff = dict(outer.diff)
-    ranked_b = _ranked(b)
-    for da, x in _ranked(a):
-        dx = a.diff[x]._coeffs if da else None
+    ranked_a, ranked_b = _ranked(a), _ranked(b)
+    grid = _pair_grid("j", ranked_a, ranked_b)
+    jl, jr = tables.get("jl", {}), tables.get("jr", {})
+    columns = [(db, dy, jr[y], 0 if db else b.aug[y]) for db, y, dy in ranked_b]
+    for (da, x, dx), row in zip(ranked_a, grid):
+        left, eps_x = jl[x], 0 if da else a.aug[x]
         sign = 1 if da % 2 else -1
-        for db, y in ranked_b:
-            if dx is not None:
-                terms = {("j", xp, y): c for xp, c in dx.items()}
+        for j, (db, dy, right, eps_y) in enumerate(columns):
+            if da:
+                terms = {grid[r][j]: c for r, c in dx}
             else:
-                terms = {("jr", y): a.aug[x]} if a.aug[x] else {}
+                terms = {right: eps_x} if eps_x else {}
             if db:
-                for yp, c in b.diff[y]._coeffs.items():
-                    terms[("j", x, yp)] = sign * c
-            elif b.aug[y]:
-                terms[("jl", x)] = sign * b.aug[y]
-            name = ("j", x, y)
+                for r, c in dy:
+                    terms[row[r]] = sign * c
+            elif eps_y:
+                terms[left] = sign * eps_y
+            name = row[j]
             degrees.setdefault(da + db + 1, []).append(name)
             diff[name] = _adopt(da + db, terms)
     for deg, gens in outer.degrees.items():
@@ -303,18 +318,20 @@ def suspension(a: BasedComplex) -> BasedComplex:
     ``a``'s, with the poles (``b0`` < ``b1`` < ``s``) in degree zero.
     """
     depth = check_depth(1 + a._depth)
-    degrees = {0: _Canonical((("b0",), ("b1",)), depth)}
+    poles = b0, b1 = ("b0",), ("b1",)
+    degrees = {0: _Canonical(poles, depth)}
     diff: dict[Name, Chain] = {}
-    aug = {("b0",): 1, ("b1",): 1}
+    aug = {b0: 1, b1: 1}
+    new = {x: ("s", x) for x in a._gen_degree}
     for deg, gens in a.degrees.items():
-        names = [("s", x) for x in gens]
+        names = [new[x] for x in gens]
         degrees[deg + 1] = _Canonical(names, depth)
         for name, x in zip(names, gens):
             if deg == 0:
-                diff[name] = Chain(0, {("b1",): a.aug[x], ("b0",): -a.aug[x]})
+                diff[name] = Chain(0, {b1: a.aug[x], b0: -a.aug[x]})
             else:
                 diff[name] = _adopt(
-                    deg, {("s", xp): c for xp, c in a.diff[x]._coeffs.items()}
+                    deg, {new[xp]: c for xp, c in a.diff[x]._coeffs.items()}
                 )
     return BasedComplex(degrees, diff, aug)
 

@@ -195,59 +195,69 @@ def cube(n: int) -> BasedComplex:
     """The oriented n-cube with word basis; degree = number of ``i`` letters.
 
     The differential replaces each ``i`` in turn by ``1`` minus ``0``, with
-    the sign alternating over the ``i`` letters already passed.
+    the sign alternating over the ``i`` letters already passed.  Words are
+    listed in name order, so word ``k`` reads ``k`` in base 3 over the digits
+    ``0``, ``1``, ``i``; an ``i`` at a position of weight ``p`` has its two
+    faces at ``k - p`` (letter ``1``) and ``k - 2p`` (letter ``0``).
     """
     if n == 0:
         return unit()
-    degrees: dict[int, list[Name]] = {}
-    diff: dict[Name, Chain] = {}
-    aug: dict[Name, int] = {}
     words = [""]
     for _ in range(n):
         words = [w + ch for w in words for ch in "01i"]
-    for w in words:
+    names: list[Name] = [(w,) for w in words]
+    weights = [3 ** (n - 1 - pos) for pos in range(n)]
+    degrees: dict[int, list[Name]] = {}
+    diff: dict[Name, Chain] = {}
+    aug: dict[Name, int] = {}
+    for k, w in enumerate(words):
         degree = w.count("i")
-        name: Name = (w,)
+        name = names[k]
         degrees.setdefault(degree, []).append(name)
         if degree == 0:
             aug[name] = 1
-        else:
-            terms: dict[Name, int] = {}
-            sign = 1
-            for pos, ch in enumerate(w):
-                if ch != "i":
-                    continue
-                for letter, value in (("1", sign), ("0", -sign)):
-                    key: Name = (w[:pos] + letter + w[pos + 1 :],)
-                    terms[key] = terms.get(key, 0) + value
+            continue
+        terms: dict[Name, int] = {}
+        sign = 1
+        for pos, ch in enumerate(w):
+            if ch == "i":
+                p = weights[pos]
+                terms[names[k - p]] = sign
+                terms[names[k - 2 * p]] = -sign
                 sign = -sign
-            diff[name] = Chain(degree - 1, terms)
-    return BasedComplex(degrees, diff, aug)
+        diff[name] = _adopt(degree - 1, terms)
+    return BasedComplex(
+        {deg: _Canonical(gens, 1) for deg, gens in degrees.items()}, diff, aug
+    )
 
 
 @_sized_memo(_refuse_oriental)
 def oriental(n: int) -> BasedComplex:
-    """The n-oriental: subsets of {0..n} as basis, alternating face sums."""
+    """The n-oriental: subsets of {0..n} as basis, alternating face sums.
+
+    Subset ``k`` of the doubling list is the bitmask ``k``, so the face
+    without vertex ``v`` is subset ``k ^ (1 << v)``."""
+    names: list[Name] = [()]
+    for v in range(n + 1):
+        label = str(v)
+        names += [s + (label,) for s in names]
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
     aug: dict[Name, int] = {}
-    subsets: list[tuple[int, ...]] = [()]
-    for v in range(n + 1):
-        subsets += [s + (v,) for s in subsets]
-    for s in subsets:
-        if not s:
-            continue
-        degree = len(s) - 1
-        name: Name = tuple(str(v) for v in s)
+    for k in range(1, len(names)):
+        name = names[k]
+        degree = len(name) - 1
         degrees.setdefault(degree, []).append(name)
         if degree == 0:
             aug[name] = 1
-        else:
-            terms: dict[Name, int] = {}
-            for pos in range(len(s)):
-                face = name[:pos] + name[pos + 1 :]
-                terms[face] = terms.get(face, 0) + (1 if pos % 2 == 0 else -1)
-            diff[name] = Chain(degree - 1, terms)
+            continue
+        terms: dict[Name, int] = {}
+        sign, rest = 1, k
+        while rest:
+            bit = rest & -rest
+            terms[names[k ^ bit]] = sign
+            sign, rest = -sign, rest ^ bit
+        diff[name] = _adopt(degree - 1, terms)
     return BasedComplex(degrees, diff, aug)
 
 

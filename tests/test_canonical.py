@@ -212,3 +212,37 @@ def test_depth_at_the_bound_is_built():
     assert coproduct([(_nested(MAX_NAME_DEPTH - 1), unit())])._depth == MAX_NAME_DEPTH
     with pytest.raises(NameDepthError):
         coproduct([(_nested(MAX_NAME_DEPTH), unit())])
+
+
+def assert_keys_are_basis_objects(c: BasedComplex) -> None:
+    """Every generator a differential is given on, and every term of every
+    differential, is the very name object of ``c``'s basis."""
+    basis = {id(g) for gens in c.degrees.values() for g in gens}
+    assert all(id(g) in basis for g in c.diff)
+    assert all(id(h) in basis for chain in c.diff.values() for h in chain._coeffs)
+
+
+def test_builders_key_every_chain_by_basis_objects():
+    for c in shape_library(big=True).values():
+        assert_keys_are_basis_objects(c)
+    for n in range(6):
+        assert_keys_are_basis_objects(cube(n))
+        assert_keys_are_basis_objects(oriental(n))
+
+
+def test_derived_constructors_key_every_chain_by_basis_objects():
+    library = list(shape_library().values())
+    for a in library:
+        for build in (suspension, antisuspension, dual_op, dual_co, dual_coop):
+            assert_keys_are_basis_objects(build(a))
+        for b in library:
+            for build in (gray_tensor, join, antijoin):
+                assert_keys_are_basis_objects(build(a, b))
+            assert_keys_are_basis_objects(coproduct([("x", a), ("y", b)]))
+
+
+def test_cubes_and_orientals_are_canonical():
+    """``cube`` hands its bases over in word order, unsorted and unchecked."""
+    for n in range(6):
+        assert_canonical(cube(n))
+        assert_canonical(oriental(n))

@@ -360,6 +360,14 @@ def test_cli_check_identities(capsys):
     assert payload["passed"] is True
 
 
+@pytest.mark.parametrize("params", [["foo", "bar"], ["cube:2"]], ids=["two", "one"])
+def test_cli_check_identities_takes_no_inputs(params, capsys):
+    assert main(["check", "identities", *params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: check identities takes no inputs\n"
+
+
 def test_cli_gen_wedge(capsys):
     assert main(["gen", "wedge", "interval", "1", "interval", "0"]) == 0
     from steinerlab import graded_counts
@@ -478,6 +486,8 @@ _HASH_SEED_COMMANDS = [
     "check steiner oriental:7",
     "check --json steiner antioriental:5",
     "atoms --json cube:3",
+    "op susp cube:3",
+    "op antijoin oriental:2 cube:2",
 ]
 
 
@@ -912,6 +922,20 @@ def test_cli_refusals_show_long_document_values_briefly(change, message, tmp_pat
     assert captured.out == ""
     assert captured.err == f"error [PARSE_ERROR]: {message}\n"
     assert len(captured.err.encode()) < 200
+
+
+def test_cli_shows_a_name_with_a_line_break_on_one_line(tmp_path, capsys):
+    path = tmp_path / "stray.json"
+    path.write_text(_interval_doc(
+        lambda d: d["differential"][0]["terms"][0].update(generator="x\ny")))
+    assert main(["info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err == (
+        "error [PARSE_ERROR]: structurally malformed complex:"
+        " differential of i has stray term x\\ny\n"
+    )
 
 
 def test_a_failing_document_shows_its_witness_as_a_name():

@@ -129,6 +129,24 @@ def test_shown_bounds_every_value(value, text):
     assert shown(value) == text
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        (("x\ny",), "x\\ny"),
+        (("a\x00", ("\t",)), "a\\x00.(\\t)"),
+        (("\u2028" * 30,), "\\u2028" * 6 + "\\u20..."),
+        (("a'b\\c", "é"), "a'b\\c.é"),
+    ],
+    ids=["line break", "control characters", "long escapes", "printable"],
+)
+def test_shown_escapes_what_a_name_cannot_print(name, text):
+    """A name's non-printable characters are written as ``repr`` escapes
+    them, so a message keeps to one line; printable text is unchanged."""
+    from steinerlab.names import shown
+
+    assert shown(name) == text
+
+
 def test_parse_errors_quote_at_most_40_characters():
     with pytest.raises(ValueError) as err:
         parse_name("a" * 3000 + ")")

@@ -100,6 +100,14 @@ def test_cube_family():
         assert sum(counts.values()) == 3**n
 
 
+def test_cube_matches_the_iterated_tensor_of_intervals():
+    """The word-index faces of ``cube`` against the tensor formula."""
+    tensor = unit()
+    for n in range(6):
+        assert equal_presentation(cube(n), tensor)
+        tensor = gray_tensor(tensor, interval())
+
+
 def test_cube_concatenation():
     def rename(g):
         left = "" if g[1] == ("u",) else g[1][0]
