@@ -4,14 +4,18 @@ Subcommands: ``gen`` (emit a shape), ``op`` (apply an operation), ``info``,
 ``atoms``, ``check`` (named verification suites), ``verify-retract``, and
 ``suite`` (the full acceptance battery).  Exit codes: 0 pass, 1 verified
 failure, 2 usage or input error.  Stdout is deterministic; timing and
-diagnostics go to stderr.  ``--json`` switches reports to JSON.  Integer
-arguments are read as document degrees are (``core._short_int``), and every
-error message shows an argument as ``names.shown`` does, cut to 40 characters.
+diagnostics go to stderr.  ``--json`` switches reports to JSON; text output
+writes each line through ``_write_line``, which escapes its non-printable
+characters, so a name holding a line break stays on its line.  Integer
+arguments are read as document degrees are (``core._short_int``), a
+subcommand given the wrong number of arguments is refused by ``_takes`` with
+its usage line, and every error message shows an argument as ``names.shown``
+does, cut to 40 characters.
 
-Each handler imports the library modules it uses, so one call loads only
-those: ``gen cube 2`` loads ``core``, ``names``, ``basic``, ``shapes`` and
-``io``; ``atoms`` on a shape reference loads no ``io``; and only ``suite``
-and ``check identities`` load ``acceptance``.
+``names`` loads with this module; each handler imports the other library
+modules it uses, so one call loads only those: ``gen cube 2`` adds ``core``,
+``basic``, ``shapes`` and ``io``; ``atoms`` on a shape reference loads no
+``io``; and only ``suite`` and ``check identities`` load ``acceptance``.
 """
 
 from __future__ import annotations
@@ -23,14 +27,22 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from .names import Name, _escaped, parse_name, render_name, shown
+
 if TYPE_CHECKING:
     from .core import BasedComplex, CheckReport
-    from .names import Name
     from .shapes import ThetaSpec
 
 
 class UsageError(Exception):
     pass
+
+
+def _takes(params: Sequence[str], count: int, usage: str) -> Sequence[str]:
+    """``params`` when there are ``count`` of them; else ``UsageError(usage)``."""
+    if len(params) != count:
+        raise UsageError(usage)
+    return params
 
 
 def _shape_builders() -> dict:
@@ -61,7 +73,6 @@ def _parse_shape_ref(text: str) -> Optional[BasedComplex]:
             try:
                 n = _short_int(arg)
             except ValueError:
-                from .names import shown
                 raise UsageError(f"bad shape parameter in {shown(text)}") from None
             return builders[kind](n)
     return None
@@ -76,7 +87,6 @@ def _load_complex(ref: str) -> BasedComplex:
     else:
         path = Path(ref)
         if not path.exists():
-            from .names import shown
             raise UsageError(f"no such file or shape reference: {shown(ref)}")
         text = path.read_text()
     from .core import BasedComplex
@@ -84,7 +94,6 @@ def _load_complex(ref: str) -> BasedComplex:
 
     value = parse(text)
     if not isinstance(value, BasedComplex):
-        from .names import shown
         raise UsageError(f"{shown(ref)} does not contain a complex document")
     return value
 
@@ -96,11 +105,17 @@ def _write_output(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text)
 
 
+def _write_line(line: str) -> None:
+    """Write one line of text output, its non-printable characters escaped
+    as ``names._escaped`` escapes them, so a name holding a line break stays
+    on its line; printable text is written as it is."""
+    sys.stdout.write(_escaped(line) + "\n")
+
+
 def _name_arg(text: str) -> Name:
     """A generator name given on the command line; bad text is a usage error,
     and an over-deep name keeps its ``NAME_DEPTH`` code."""
     from .core import NameDepthError
-    from .names import parse_name, shown
 
     try:
         return parse_name(text)
@@ -118,7 +133,6 @@ def _ints(values: Sequence[str], what: str) -> list[int]:
         try:
             ints.append(_short_int(text))
         except ValueError:
-            from .names import shown
             raise UsageError(f"{what} must be integers, got {shown(text)}") from None
     return ints
 
@@ -137,7 +151,6 @@ def _parse_sides(text: str) -> tuple[tuple[str, str], ...]:
     tokens = text.split(",") if text else []
     for token in tokens:
         if token not in _SIDE_CODES:
-            from .names import shown
             raise UsageError(f"bad side code {shown(token)}; use ts, st, ss, or tt")
     return tuple(_SIDE_CODES[token] for token in tokens)
 
@@ -171,8 +184,8 @@ def _print_report(report: CheckReport, as_json: bool) -> int:
         sys.stdout.write(json.dumps(_report_payload(report), indent=2) + "\n")
     else:
         for line in report.lines():
-            sys.stdout.write(line + "\n")
-        sys.stdout.write(("PASSED" if report.passed else "FAILED") + "\n")
+            _write_line(line)
+        _write_line("PASSED" if report.passed else "FAILED")
     return 0 if report.passed else 1
 
 
@@ -183,59 +196,44 @@ def _cmd_gen(args) -> int:
     kind = args.shape
     builders = _shape_builders()
     if kind in builders:
-        if len(args.params) != 1:
-            raise UsageError(f"gen {kind} takes one dimension parameter")
-        (n,) = _ints(args.params, "dimension")
+        params = _takes(args.params, 1, f"gen {kind} takes one dimension parameter")
+        (n,) = _ints(params, "dimension")
         value = builders[kind](n)
     elif kind == "theta":
-        if len(args.params) != 1:
-            raise UsageError("gen theta takes a comma-separated dims list")
-        value = theta(_theta_spec(args.params[0], args))
+        (dims,) = _takes(args.params, 1, "gen theta takes a comma-separated dims list")
+        value = theta(_theta_spec(dims, args))
     elif kind == "wedge":
-        if len(args.params) != 4:
-            raise UsageError("gen wedge takes: complex_a gen_a complex_b gen_b")
-        a = _load_complex(args.params[0])
-        b = _load_complex(args.params[2])
-        value = wedge(a, _name_arg(args.params[1]), b, _name_arg(args.params[3]))
+        ref_a, gen_a, ref_b, gen_b = _takes(
+            args.params, 4, "gen wedge takes: complex_a gen_a complex_b gen_b"
+        )
+        a, b = _load_complex(ref_a), _load_complex(ref_b)
+        value = wedge(a, _name_arg(gen_a), b, _name_arg(gen_b))
     else:
-        from .names import shown
         raise UsageError(f"unknown shape {shown(kind)}")
     _write_output(emit(value), args.out)
     return 0
 
 
 def _cmd_op(args) -> int:
+    from . import ops
     from .io import emit
-    from .ops import (
-        antijoin,
-        antisuspension,
-        dual_co,
-        dual_coop,
-        dual_op,
-        gray_tensor,
-        join,
-        suspension,
-    )
 
     op = args.operation
-    binary = {"tensor": gray_tensor, "join": join, "antijoin": antijoin}
+    binary = {"tensor": ops.gray_tensor, "join": ops.join, "antijoin": ops.antijoin}
     unary = {
-        "susp": suspension,
-        "antisusp": antisuspension,
-        "op": dual_op,
-        "co": dual_co,
-        "coop": dual_coop,
+        "susp": ops.suspension,
+        "antisusp": ops.antisuspension,
+        "op": ops.dual_op,
+        "co": ops.dual_co,
+        "coop": ops.dual_coop,
     }
     if op in binary:
-        if len(args.inputs) != 2:
-            raise UsageError(f"op {op} takes two inputs")
-        value = binary[op](_load_complex(args.inputs[0]), _load_complex(args.inputs[1]))
+        a, b = _takes(args.inputs, 2, f"op {op} takes two inputs")
+        value = binary[op](_load_complex(a), _load_complex(b))
     elif op in unary:
-        if len(args.inputs) != 1:
-            raise UsageError(f"op {op} takes one input")
-        value = unary[op](_load_complex(args.inputs[0]))
+        (a,) = _takes(args.inputs, 1, f"op {op} takes one input")
+        value = unary[op](_load_complex(a))
     else:
-        from .names import shown
         raise UsageError(f"unknown operation {shown(op)}")
     _write_output(emit(value), args.out)
     return 0
@@ -256,22 +254,17 @@ def _cmd_info(args) -> int:
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        sys.stdout.write(f"graded counts: {counts}\n")
-        sys.stdout.write(f"total generators: {c.size}\n")
-        sys.stdout.write(
-            f"top degree: {max(counts) if counts else 'empty'}\n"
-        )
-        sys.stdout.write(
-            "validation: " + ("passed" if check.passed else "FAILED") + "\n"
-        )
+        _write_line(f"graded counts: {counts}")
+        _write_line(f"total generators: {c.size}")
+        _write_line(f"top degree: {max(counts) if counts else 'empty'}")
+        _write_line("validation: " + ("passed" if check.passed else "FAILED"))
         for line in check.lines():
-            sys.stdout.write("  " + line + "\n")
+            _write_line("  " + line)
     return 0 if check.passed else 1
 
 
 def _cmd_atoms(args) -> int:
     from .core import _int_to_text
-    from .names import render_name
     from .steiner import atom_table
 
     c = _load_complex(args.input)
@@ -295,7 +288,7 @@ def _cmd_atoms(args) -> int:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         for entry in payload:
-            sys.stdout.write(f"atom {entry['generator']} (dim {entry['dim']})\n")
+            _write_line(f"atom {entry['generator']} (dim {entry['dim']})")
             for side in ("minus", "plus"):
                 for level, terms in enumerate(entry[side]):
                     rendered = " + ".join(
@@ -303,9 +296,7 @@ def _cmd_atoms(args) -> int:
                         + t["generator"]
                         for t in terms
                     )
-                    sys.stdout.write(
-                        f"  {side}[{level}] = {rendered if rendered else '0'}\n"
-                    )
+                    _write_line(f"  {side}[{level}] = {rendered if rendered else '0'}")
     return 0
 
 
@@ -314,62 +305,50 @@ def _cmd_check(args) -> int:
     if which == "steiner":
         from .steiner import is_steiner
 
-        if len(args.params) != 1:
-            raise UsageError("check steiner takes one complex input")
-        report = is_steiner(_load_complex(args.params[0]))
+        (ref,) = _takes(args.params, 1, "check steiner takes one complex input")
+        report = is_steiner(_load_complex(ref))
     elif which in ("boundary-decomp", "top-cell"):
-        if len(args.params) != 2 or args.params[0] not in ("cube", "oriental"):
-            raise UsageError(f"check {which} takes: <cube|oriental> <n>")
+        usage = f"check {which} takes: <cube|oriental> <n>"
+        family, n_text = _takes(args.params, 2, usage)
+        if family not in ("cube", "oriental"):
+            raise UsageError(usage)
         from .shapes import boundary_decomposition_check, top_cell_decomposition_check
 
-        n = _ints(args.params[1:], "dimension")[0]
+        (n,) = _ints([n_text], "dimension")
         fn = (
             boundary_decomposition_check
             if which == "boundary-decomp"
             else top_cell_decomposition_check
         )
-        report = fn(args.params[0], n)
+        report = fn(family, n)
     elif which == "identities":
-        if args.params:
-            raise UsageError("check identities takes no inputs")
+        _takes(args.params, 0, "check identities takes no inputs")
         from . import acceptance
 
         report = acceptance.criterion_dualities()
     else:
-        from .names import shown
         raise UsageError(f"unknown suite {shown(which)}")
     return _print_report(report, args.json)
 
 
 def _cmd_verify_retract(args) -> int:
-    from .retract import (
-        RetractionPair,
-        section_ell,
-        section_q_cube,
-        section_xi,
-        theta_left_inverse,
-        theta_retract_into_oriental,
-        zeta,
-    )
+    from . import retract
 
     kind = args.kind
-    sections = {"xi": section_xi, "q-cube": section_q_cube, "ell": section_ell}
+    sections = {"xi": retract.section_xi, "q-cube": retract.section_q_cube,
+                "ell": retract.section_ell}
     if kind in sections:
-        if len(args.params) != 1:
-            raise UsageError(f"verify-retract {kind} takes one dimension")
-        pair = sections[kind](_ints(args.params, "dimension")[0])
+        params = _takes(args.params, 1, f"verify-retract {kind} takes one dimension")
+        (n,) = _ints(params, "dimension")
+        pair = sections[kind](n)
     elif kind == "zeta":
-        if len(args.params) != 2:
-            raise UsageError("verify-retract zeta takes two dimensions")
-        n, m = _ints(args.params, "dimensions")
-        z, t = zeta(n, m), theta_left_inverse(n, m)
-        pair = RetractionPair(z, t)
+        params = _takes(args.params, 2, "verify-retract zeta takes two dimensions")
+        n, m = _ints(params, "dimensions")
+        pair = retract.RetractionPair(retract.zeta(n, m), retract.theta_left_inverse(n, m))
     elif kind == "theta":
-        if len(args.params) != 1:
-            raise UsageError("verify-retract theta takes a dims list")
-        pair = theta_retract_into_oriental(_theta_spec(args.params[0], args))
+        (dims,) = _takes(args.params, 1, "verify-retract theta takes a dims list")
+        pair = retract.theta_retract_into_oriental(_theta_spec(dims, args))
     else:
-        from .names import shown
         raise UsageError(f"unknown retraction {shown(kind)}")
     return _print_report(pair.verify(), args.json)
 
@@ -392,14 +371,29 @@ def _cmd_suite(args) -> int:
         width = max(len(name) for name, _ in results)
         for name, rep in results:
             status = "PASS" if rep.passed else "FAIL"
-            sys.stdout.write(f"{status}  {name:<{width}}  ({len(rep.checks)} checks)\n")
+            _write_line(f"{status}  {name:<{width}}  ({len(rep.checks)} checks)")
             if not rep.passed:
                 for item in rep.failures():
                     witness = f"  [{item.witness}]" if item.witness else ""
-                    sys.stdout.write(f"      FAIL {item.name}{witness}\n")
-        sys.stdout.write(("PASSED" if all_passed else "FAILED") + "\n")
+                    _write_line(f"      FAIL {item.name}{witness}")
+        _write_line("PASSED" if all_passed else "FAILED")
     sys.stderr.write(f"suite completed in {time.time() - t0:.1f}s\n")
     return 0 if all_passed else 1
+
+
+# The options several subcommands share, each declared once.  A subcommand
+# adds them after its own arguments, so its usage line lists them last.
+_SHARED_OPTIONS = {
+    "--glue": {"default": ""},
+    "--sides": {"default": ""},
+    "--out": {},
+    "--json": {"action": "store_true"},
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *options: str) -> None:
+    for option in options:
+        parser.add_argument(option, **_SHARED_OPTIONS[option])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,44 +406,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="emit a shape")
     p_gen.add_argument("shape")
     p_gen.add_argument("params", nargs="*")
-    p_gen.add_argument("--glue", default="")
-    p_gen.add_argument("--sides", default="")
-    p_gen.add_argument("--out")
+    _add_shared(p_gen, "--glue", "--sides", "--out")
     p_gen.set_defaults(fn=_cmd_gen)
 
     p_op = sub.add_parser("op", help="apply an operation to complexes")
     p_op.add_argument("operation")
     p_op.add_argument("inputs", nargs="*")
-    p_op.add_argument("--out")
+    _add_shared(p_op, "--out")
     p_op.set_defaults(fn=_cmd_op)
 
     p_info = sub.add_parser("info", help="graded counts and validation summary")
     p_info.add_argument("input")
-    p_info.add_argument("--json", action="store_true")
+    _add_shared(p_info, "--json")
     p_info.set_defaults(fn=_cmd_info)
 
     p_atoms = sub.add_parser("atoms", help="print atom tables")
     p_atoms.add_argument("input")
     p_atoms.add_argument("--gen")
-    p_atoms.add_argument("--json", action="store_true")
+    _add_shared(p_atoms, "--json")
     p_atoms.set_defaults(fn=_cmd_atoms)
 
     p_check = sub.add_parser("check", help="run a named verification suite")
     p_check.add_argument("suite", help="steiner, boundary-decomp, top-cell or identities")
     p_check.add_argument("params", nargs="*")
-    p_check.add_argument("--json", action="store_true")
+    _add_shared(p_check, "--json")
     p_check.set_defaults(fn=_cmd_check)
 
     p_verify = sub.add_parser("verify-retract", help="build and verify a retraction pair")
     p_verify.add_argument("kind", help="xi, q-cube, ell, zeta or theta")
     p_verify.add_argument("params", nargs="*")
-    p_verify.add_argument("--glue", default="")
-    p_verify.add_argument("--sides", default="")
-    p_verify.add_argument("--json", action="store_true")
+    _add_shared(p_verify, "--glue", "--sides", "--json")
     p_verify.set_defaults(fn=_cmd_verify_retract)
 
     p_suite = sub.add_parser("suite", help="run the full acceptance battery")
-    p_suite.add_argument("--json", action="store_true")
+    _add_shared(p_suite, "--json")
     p_suite.set_defaults(fn=_cmd_suite)
 
     return parser
@@ -460,7 +450,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args, extra = parser.parse_known_args(argv)
         if extra:  # refused here, to show them as every refusal shows a value
-            from .names import shown
             parser.error(f"unrecognized arguments: {shown(' '.join(extra))}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
@@ -473,7 +462,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (OSError, UnicodeDecodeError) as exc:
         if isinstance(exc, OSError) and exc.filename is not None:
-            from .names import shown
             exc = f"[Errno {exc.errno}] {exc.strerror}: {shown(exc.filename)}"
         sys.stderr.write(f"error [IO_ERROR]: {exc}\n")
         return 2

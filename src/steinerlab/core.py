@@ -232,7 +232,7 @@ class Chain:
 
 
 _new_object = object.__new__
-_set_attr = object.__setattr__
+_set_field = object.__setattr__
 
 
 def _adopt(degree: int, coeffs: dict[Name, int]) -> Chain:
@@ -240,8 +240,8 @@ def _adopt(degree: int, coeffs: dict[Name, int]) -> Chain:
     caller owns the dict, the degree is valid and every value is a non-zero
     ``int``."""
     chain = _new_object(Chain)
-    _set_attr(chain, "degree", degree)
-    _set_attr(chain, "_coeffs", coeffs)
+    _set_field(chain, "degree", degree)
+    _set_field(chain, "_coeffs", coeffs)
     return chain
 
 
@@ -262,9 +262,6 @@ def _extend_linearly(chain: Chain, images: Mapping[Name, Chain], degree: int) ->
             )
         add_scaled(total, image._coeffs, coeff)
     return _adopt(degree, total)
-
-
-_set_field = object.__setattr__
 
 
 class _Record:
@@ -624,6 +621,18 @@ def _first_failure(name: str, witnesses: Iterable[str]) -> CheckItem:
     return CheckItem(name, witness is None, witness)
 
 
+def _first_difference(
+    name: str, f: ComplexMap, image: Callable[[int, Name], Chain]
+) -> CheckItem:
+    """The item ``name`` comparing ``f`` with the map that sends each source
+    generator ``x`` of degree ``d`` to ``image(d, x)``: it fails at the first
+    generator in basis order whose two images differ, or passes."""
+    differing = (
+        x for d, x in f.source.all_generators() if f.of_gen(x) != image(d, x)
+    )
+    return _first_failure(name, map(render_name, differing))
+
+
 def _summary(name: str, *reports: CheckReport) -> CheckItem:
     """The item ``name`` over ``reports``: it passes iff every report passes,
     and fails at the first failing item of the first failing report, shown as
@@ -754,14 +763,13 @@ def equal_presentation(a: BasedComplex, b: BasedComplex) -> bool:
 
 
 def verify_mutually_inverse(f: ComplexMap, g: ComplexMap) -> CheckReport:
-    """Pass iff ``compose(f, g)`` and ``compose(g, f)`` are both identities."""
+    """Pass iff ``compose(f, g)`` and ``compose(g, f)`` are both identities;
+    each fails at the first generator in basis order not sent to itself."""
     if f.source != g.target or f.target != g.source:
         raise CompositionError("maps are not a candidate inverse pair")
-    fg_ok = compose(f, g) == identity_map(f.source)
-    gf_ok = compose(g, f) == identity_map(g.source)
     return report(
-        CheckItem("LEFT_THEN_RIGHT_IS_ID", fg_ok, None if fg_ok else "compose(f,g)"),
-        CheckItem("RIGHT_THEN_LEFT_IS_ID", gf_ok, None if gf_ok else "compose(g,f)"),
+        _first_difference("LEFT_THEN_RIGHT_IS_ID", compose(f, g), chain_of),
+        _first_difference("RIGHT_THEN_LEFT_IS_ID", compose(g, f), chain_of),
     )
 
 

@@ -58,7 +58,7 @@ def test_a_failing_retraction_names_its_first_failing_item(monkeypatch):
 
     monkeypatch.setattr(acceptance, "section_xi", lambda n: RetractionPair(q2(), s2()))
     assert _failures(acceptance.criterion_retractions()) == [
-        (f"section_xi({n})", "COMPOSITE_IDENTITY") for n in range(5)
+        (f"section_xi({n})", "COMPOSITE_IDENTITY at 01") for n in range(5)
     ]
 
 

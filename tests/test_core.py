@@ -184,9 +184,11 @@ def test_equal_presentation_examples():
 
 def test_verify_mutually_inverse_detects_one_sided():
     rep = verify_mutually_inverse(s2(), q2())
-    by_name = {i.name: i for i in rep.checks}
-    assert by_name["LEFT_THEN_RIGHT_IS_ID"].passed
-    assert not by_name["RIGHT_THEN_LEFT_IS_ID"].passed
+    # q2 sends the vertex 01 to 2, which s2 sends to 11: the first vertex moved
+    assert [(i.name, i.passed, i.witness) for i in rep.checks] == [
+        ("LEFT_THEN_RIGHT_IS_ID", True, None),
+        ("RIGHT_THEN_LEFT_IS_ID", False, "01"),
+    ]
     ident = identity_map(interval())
     assert verify_mutually_inverse(ident, ident).passed
 

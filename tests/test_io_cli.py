@@ -368,6 +368,42 @@ def test_cli_check_identities_takes_no_inputs(params, capsys):
     assert captured.err == "usage error: check identities takes no inputs\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("gen cube", "gen cube takes one dimension parameter"),
+        ("gen oriental 1 2", "gen oriental takes one dimension parameter"),
+        ("gen theta", "gen theta takes a comma-separated dims list"),
+        ("gen theta 1 2", "gen theta takes a comma-separated dims list"),
+        ("gen wedge interval 1 interval", "gen wedge takes: complex_a gen_a complex_b gen_b"),
+        ("gen pyramid 3", "unknown shape 'pyramid'"),
+        ("op tensor cube:1", "op tensor takes two inputs"),
+        ("op join unit unit unit", "op join takes two inputs"),
+        ("op susp", "op susp takes one input"),
+        ("op coop unit unit", "op coop takes one input"),
+        ("op nonsense unit", "unknown operation 'nonsense'"),
+        ("check steiner", "check steiner takes one complex input"),
+        ("check steiner unit unit", "check steiner takes one complex input"),
+        ("check boundary-decomp cube", "check boundary-decomp takes: <cube|oriental> <n>"),
+        ("check top-cell pyramid 3", "check top-cell takes: <cube|oriental> <n>"),
+        ("check top-cell cube 2 3", "check top-cell takes: <cube|oriental> <n>"),
+        ("check nosuch", "unknown suite 'nosuch'"),
+        ("verify-retract xi", "verify-retract xi takes one dimension"),
+        ("verify-retract q-cube 1 2", "verify-retract q-cube takes one dimension"),
+        ("verify-retract zeta 2", "verify-retract zeta takes two dimensions"),
+        ("verify-retract theta", "verify-retract theta takes a dims list"),
+        ("verify-retract nosuch 1", "unknown retraction 'nosuch'"),
+    ],
+)
+def test_cli_usage_refusals_are_pinned(argv, message, capsys):
+    """Each argument-count and unknown-kind refusal (``check identities`` is
+    pinned above): its exact stderr line, exit 2 and nothing on stdout."""
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
 def test_cli_gen_wedge(capsys):
     assert main(["gen", "wedge", "interval", "1", "interval", "0"]) == 0
     from steinerlab import graded_counts
@@ -936,6 +972,39 @@ def test_cli_shows_a_name_with_a_line_break_on_one_line(tmp_path, capsys):
         "error [PARSE_ERROR]: structurally malformed complex:"
         " differential of i has stray term x\\ny\n"
     )
+
+
+def _rename_vertex_zero(doc):
+    doc["degrees"][0]["generators"][0] = "x\ny"
+    doc["differential"][0]["terms"][0]["generator"] = "x\ny"
+    doc["augmentation"][0]["generator"] = "x\ny"
+
+
+def test_cli_text_output_keeps_a_name_with_a_line_break_on_its_line(tmp_path, capsys):
+    """Text output escapes the line break; ``--json`` writes the name as it is."""
+    path = tmp_path / "renamed.json"
+    path.write_text(_interval_doc(_rename_vertex_zero))
+    assert main(["atoms", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "atom 1 (dim 0)\n  minus[0] = 1\n  plus[0] = 1\n"
+        "atom x\\ny (dim 0)\n  minus[0] = x\\ny\n  plus[0] = x\\ny\n"
+        "atom i (dim 1)\n  minus[0] = x\\ny\n  minus[1] = i\n  plus[0] = 1\n  plus[1] = i\n"
+    )
+    assert main(["atoms", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)[1]["generator"] == "x\ny"
+
+
+def test_cli_report_shows_a_witness_with_a_line_break_on_its_line(tmp_path, capsys):
+    from steinerlab.acceptance import fixture_loop
+
+    path = tmp_path / "loop.json"
+    path.write_text(emit(fixture_loop()).replace('"e"', '"a\\nb"'))
+    assert main(["check", "steiner", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-2:] == [
+        "FAIL  STRONGLY_LOOPFREE  [a\\nb <= y <= f <= x <= a\\nb]", "FAILED"
+    ]
+    assert out.count("\n") == 7
 
 
 def test_a_failing_document_shows_its_witness_as_a_name():

@@ -304,12 +304,44 @@ def test_retraction_pair_reports_failures():
     assert RetractionPair(s2(), q2()).verify().passed
     # the other way round the square does not come back: q2 kills an edge
     backwards = RetractionPair(q2(), s2()).verify()
-    assert [item.name for item in backwards.failures()] == ["COMPOSITE_IDENTITY"]
+    assert [(item.name, item.witness) for item in backwards.failures()] == [
+        ("COMPOSITE_IDENTITY", "01")
+    ]
     assert [item.name for item in backwards.checks if item.passed] == [
         "EMBED_VALID",
         "RETRACT_VALID",
         "SPLITTING_IDEMPOTENT",
     ]
+
+
+def test_verify_names_where_a_composite_is_not_the_identity():
+    """Swapping the ends of the interval neither undoes the identity nor is
+    idempotent: both composites first differ at the vertex 0."""
+    from steinerlab import ComplexMap
+
+    i = interval()
+    swap = ComplexMap(
+        i, i, {("0",): chain_of(0, ("1",)), ("1",): chain_of(0, ("0",)), ("i",): chain_of(1, ("i",))}
+    )
+    checks = RetractionPair(identity_map(i), swap).verify().checks
+    assert [(c.name, c.passed, c.witness) for c in checks] == [
+        ("EMBED_VALID", True, None),
+        ("RETRACT_VALID", False, "CHAIN_RULE at i"),
+        ("COMPOSITE_IDENTITY", False, "0"),
+        ("SPLITTING_IDEMPOTENT", False, "0"),
+    ]
+
+
+def test_verify_refuses_a_retract_into_another_complex():
+    """A retract into a complex with the embed's names but another
+    augmentation sends each generator to its namesake, yet is no identity."""
+    from steinerlab import BasedComplex, ComplexMap, CompositionError
+
+    i = interval()
+    doubled = BasedComplex(dict(i.degrees), dict(i.diff), {("0",): 2, ("1",): 2})
+    namesake = ComplexMap(i, doubled, {g: chain_of(d, g) for d, g in i.all_generators()})
+    with pytest.raises(CompositionError):
+        RetractionPair(identity_map(i), namesake).verify()
 
 
 @pytest.mark.parametrize("build", [xi, section_xi, section_ell, section_q_cube])
