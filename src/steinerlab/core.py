@@ -369,8 +369,8 @@ class BasedComplex:
     checks structural well-formedness only; run :func:`validate_complex`
     for the chain-complex axioms.  A basis given as a plain iterable has its
     names checked and is sorted by ``name_key``; one handed over by a derived
-    constructor (tensor, join, suspension, duals, coproduct) is already in
-    that order and skips both.  Every other check runs either way.
+    constructor (tensor, join, suspension, duals, coproduct) or by ``parse``
+    is already in that order and skips both.  Every other check runs either way.
     """
 
     __slots__ = ("degrees", "diff", "aug", "_gen_degree", "_depth", "_rank")

@@ -11,6 +11,12 @@ float or a boolean; a degree's string has at most 4000 digits), parses each
 distinct generator name once, validates structurally and then semantically,
 and embeds the failing report in the error.  Every error message shows the
 document's values as ``names.shown`` does, so its length is bounded.
+
+``parse`` caches, for the length of one call, each generator name and each
+term coefficient by its text, so a term read before costs two dict lookups;
+any other term is checked in full.  Each ``generators`` list is sorted by
+``name_key`` and handed to ``BasedComplex`` as a canonical basis, with the
+depth the name parser measured, so its names are not checked a second time.
 """
 
 from __future__ import annotations
@@ -26,13 +32,15 @@ from .core import (
     ComplexMap,
     MalformedError,
     SteinerlabError,
+    _adopt,
+    _Canonical,
     _int_to_text,
     _short_int,
     _text_to_int,
     validate_complex,
     validate_map,
 )
-from .names import Name, parse_name, render_name, shown
+from .names import Name, name_key, parse_name_depth, render_name, shown
 
 FORMAT_VERSION = "steinerlab/1"
 
@@ -173,34 +181,62 @@ def _parse_int(value: Any, where: str) -> int:
     raise ParseError(f"bad integer {shown(value)} in {where}")
 
 
-def _parse_gen(text: Any, where: str, names: dict[str, Name]) -> Name:
-    """The name ``text`` renders; ``names`` caches the names parsed so far."""
+def _parse_new_gen(text: Any, where: str, names: dict[str, Name]) -> tuple[Name, int]:
+    """The name ``text`` renders, parsed and put in the cache ``names``
+    (unless it is there already), and how deep it nests."""
     if not isinstance(text, str):
         raise ParseError(f"generator name must be a string in {where}")
-    name = names.get(text)
-    if name is None:
-        try:
-            name = names[text] = parse_name(text)
-        except ValueError as exc:
-            raise ParseError(f"bad generator name in {where}: {exc}") from None
-    return name
+    try:
+        name, depth = parse_name_depth(text)
+    except ValueError as exc:
+        raise ParseError(f"bad generator name in {where}: {exc}") from None
+    return names.setdefault(text, name), depth
+
+
+def _parse_gen(text: Any, where: str, names: dict[str, Name]) -> Name:
+    """The name ``text`` renders; ``names`` caches the names parsed so far."""
+    try:
+        return names[text]
+    except (KeyError, TypeError):  # not parsed yet, or not a string
+        return _parse_new_gen(text, where, names)[0]
+
+
+def _listed_twice(key: Any, where: str) -> ParseError:
+    what = "degree" if isinstance(key, int) else "generator"
+    return ParseError(f"{what} {shown(key)} listed twice in {where}")
 
 
 def _put_once(table: dict, key: Any, value: Any, where: str) -> None:
     """``table[key] = value``, rejecting a key (a degree or a generator) listed before."""
     if key in table:
-        what = "degree" if isinstance(key, int) else "generator"
-        raise ParseError(f"{what} {shown(key)} listed twice in {where}")
+        raise _listed_twice(key, where)
     table[key] = value
 
 
-def _parse_terms(entry: Any, where: str, names: dict[str, Name]) -> dict[Name, int]:
+def _parse_terms(
+    entry: Any, where: str, names: dict[str, Name], ints: dict[str, int]
+) -> dict[Name, int]:
+    """The terms of ``entry`` as a coefficient dict without zeros.
+
+    A term whose generator text is in ``names`` and whose coefficient text is
+    in ``ints`` costs those two lookups.  ``ints`` is keyed by text only, so a
+    JSON ``true`` or ``1.0`` never matches ``"1"``; every other term is read
+    and checked in full, in the order of its refusals, and cached."""
     terms: dict[Name, int] = {}
-    section = "terms of " + where
     for t in _need_list(entry, "terms", where):
-        g = _parse_gen(_need(t, "generator", "terms"), "terms", names)
-        coeff = _parse_int(_need(t, "coeff", "terms"), "terms")
-        _put_once(terms, g, coeff, section)
+        try:
+            g, coeff = names[t["generator"]], ints[t["coeff"]]
+        except (KeyError, TypeError):
+            g = _parse_gen(_need(t, "generator", "terms"), "terms", names)
+            text = _need(t, "coeff", "terms")
+            coeff = _parse_int(text, "terms")
+            if isinstance(text, str):
+                ints[text] = coeff
+        if g in terms:
+            raise _listed_twice(g, "terms of " + where)
+        terms[g] = coeff
+    if 0 in terms.values():
+        return {g: coeff for g, coeff in terms.items() if coeff}
     return terms
 
 
@@ -222,15 +258,18 @@ def document_to_complex(doc: Any) -> BasedComplex:
     if _need(doc, "format_version", "document") != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {shown(doc['format_version'])}")
     names: dict[str, Name] = {}
-    degrees: dict[int, list[Name]] = {}
+    ints: dict[str, int] = {}
+    degrees: dict[int, _Canonical] = {}
     gen_degree: dict[Name, int] = {}
     for entry in _need_list(doc, "degrees", "document"):
         deg = _parse_int(_need(entry, "degree", "degrees"), "degrees")
         where = f"degree {shown(deg)}"
-        gens = [
-            _parse_gen(g, where, names) for g in _need_list(entry, "generators", "degrees")
-        ]
-        _put_once(degrees, deg, gens, "degrees")
+        gens, depth = [], 0
+        for text in _need_list(entry, "generators", "degrees"):
+            g, g_depth = _parse_new_gen(text, where, names)
+            gens.append(g)
+            depth = max(depth, g_depth)
+        _put_once(degrees, deg, _Canonical(sorted(gens, key=name_key), depth), "degrees")
         for g in gens:
             _put_once(gen_degree, g, deg, "degrees")
     diff: dict[Name, Chain] = {}
@@ -240,7 +279,7 @@ def document_to_complex(doc: Any) -> BasedComplex:
             raise ParseError(f"differential on unknown generator {shown(g)}")
         # a differential on a vertex or below is left to BasedComplex to refuse
         degree = max(gen_degree[g] - 1, 0)
-        chain = Chain(degree, _parse_terms(entry, "differential", names))
+        chain = _adopt(degree, _parse_terms(entry, "differential", names, ints))
         _put_once(diff, g, chain, "differential")
     aug: dict[Name, int] = {}
     for entry in _need_list(doc, "augmentation", "document"):
@@ -254,13 +293,14 @@ def document_to_map(doc: dict[str, Any]) -> ComplexMap:
     source = document_to_complex(_need(doc, "source", "map document"))
     target = document_to_complex(_need(doc, "target", "map document"))
     names: dict[str, Name] = {}
+    ints: dict[str, int] = {}
     assignment: dict[Name, Chain] = {}
     for entry in _need_list(doc, "assignment", "map document"):
         g = _parse_gen(_need(entry, "generator", "assignment"), "assignment", names)
         if not source.has_generator(g):
             raise ParseError(f"assignment on unknown generator {shown(g)}")
-        chain = Chain(source.degree_of(g), _parse_terms(entry, "assignment", names))
-        _put_once(assignment, g, chain, "assignment")
+        terms = _parse_terms(entry, "assignment", names, ints)
+        _put_once(assignment, g, _adopt(source.degree_of(g), terms), "assignment")
     return _built("map", lambda: ComplexMap(source, target, assignment), validate_map)
 
 

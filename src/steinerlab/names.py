@@ -60,7 +60,7 @@ def _check_parts(name: object, depth: int) -> int:
     deepest = depth
     for part in name:
         if isinstance(part, str):
-            if not part or _RESERVED & set(part):
+            if not part or not _RESERVED.isdisjoint(part):
                 _malformed(f"bad name atom {part!r} in {name!r}")
         else:
             deepest = max(deepest, _check_parts(part, depth + 1))
@@ -132,25 +132,36 @@ def _escaped(text: str) -> str:
 
 def parse_name(text: str) -> Name:
     """Inverse of :func:`render_name`."""
-    parts, pos = _parse_parts(text, 0, 1)
+    return parse_name_depth(text)[0]
+
+
+def parse_name_depth(text: str) -> tuple[Name, int]:
+    """:func:`parse_name`, and how deep the name nests as :func:`name_depth`
+    counts it, from the same single scan of ``text``."""
+    parts, pos, depth = _parse_parts(text, 0, 1)
     if pos != len(text):
         raise ValueError(f"trailing characters in name {shown(text)}")
-    return parts
+    return parts, depth
 
 
-def _parse_parts(text: str, pos: int, depth: int) -> tuple[Name, int]:
+def _parse_parts(text: str, pos: int, depth: int) -> tuple[Name, int, int]:
+    """The name at ``pos`` nested ``depth`` levels deep, the position after
+    it and the deepest level it reaches."""
     parts: list[NamePart] = []
     n = len(text)
+    deepest = depth
     while True:
         if pos >= n:
             raise ValueError(f"empty name component in {shown(text)}")
         if text[pos] == "(":
             check_depth(depth + 1)
-            sub, pos = _parse_parts(text, pos + 1, depth + 1)
+            sub, pos, sub_deepest = _parse_parts(text, pos + 1, depth + 1)
             if pos >= n or text[pos] != ")":
                 raise ValueError(f"unbalanced parentheses in name {shown(text)}")
             pos += 1
             parts.append(sub)
+            if sub_deepest > deepest:
+                deepest = sub_deepest
         else:
             start = pos
             while pos < n and text[pos] not in _RESERVED:
@@ -161,4 +172,4 @@ def _parse_parts(text: str, pos: int, depth: int) -> tuple[Name, int]:
         if pos < n and text[pos] == ".":
             pos += 1
             continue
-        return tuple(parts), pos
+        return tuple(parts), pos, deepest

@@ -28,6 +28,7 @@ from .core import (
     _Record,
     _adopt,
     _check_size_at_least,
+    _first_failure,
     _glued,
     _set_field,
     _sized_memo,
@@ -41,7 +42,7 @@ from .core import (
     validate_complex,
     validate_map,
 )
-from .names import MAX_NAME_DEPTH, Name, check_depth, shown
+from .names import MAX_NAME_DEPTH, Name, check_depth, render_name, shown
 
 # The five functions that use ``ops``, ``colimits`` or ``steiner`` import
 # them where they run, so that building a cube, oriental, disk, theta or
@@ -511,8 +512,16 @@ def boundary_decomposition_check(family: str, n: int) -> CheckReport:
     cocone = basis_renaming_map(
         face_cop, boundary, lambda gen: coface(int(gen[0][1]), gen[0][2:], gen[1])
     )
-    if any(cocone(r.of_gen(e)) != cocone(s.of_gen(e)) for e in r.assignment):
-        items.append(CheckItem(f"{family}:{n}:COCONE_COEQUALIZES", False, None))
+    coequalizes = _first_failure(
+        f"{family}:{n}:COCONE_COEQUALIZES",
+        (
+            render_name(e)
+            for _, e in double_cop.all_generators()
+            if cocone(r.of_gen(e)) != cocone(s.of_gen(e))
+        ),
+    )
+    if not coequalizes.passed:  # a passing check is not listed
+        items.append(coequalizes)
         return report(*items)
     induced = induced_from_coequalizer(result, cocone)
     items += _induced_iso_items(f"{family}:{n}", induced, "TRUNCATION", boundary)

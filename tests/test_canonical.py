@@ -1,6 +1,6 @@
-"""Canonical assembly: tensor, join, suspension, the duals and coproducts
-hand ``BasedComplex`` bases already in name order, with their name depth,
-instead of having them sorted and walked.  Every result here is checked
+"""Canonical assembly: tensor, join, suspension, the duals, coproducts and
+``parse`` hand ``BasedComplex`` bases already in name order, with their name
+depth, instead of having them sorted and walked.  Every result here is checked
 against the general path: rebuilt from plain dicts and lists it is equal,
 each basis is its ``name_key`` sort, its depth is the deepest ``check_name``
 depth, and every chain holds only non-zero ``int`` coefficients.
@@ -19,15 +19,18 @@ from steinerlab import (
     antisuspension,
     coequalizer,
     cube,
+    disk,
     dual_co,
     dual_coop,
     dual_op,
+    emit,
     equal_presentation,
     gray_tensor,
     interval,
     join,
     join_pushout,
     oriental,
+    parse,
     shape_library,
     suspension,
     suspension_pushout,
@@ -246,3 +249,17 @@ def test_cubes_and_orientals_are_canonical():
     for n in range(6):
         assert_canonical(cube(n))
         assert_canonical(oriental(n))
+
+
+def test_parsed_complexes_keep_depth_and_basis_objects():
+    """``parse`` hands an emitted document's bases over as they are listed,
+    with the exact depth, and keys every chain by the parsed basis objects."""
+    library = shape_library(big=True)
+    values = [*library.values(), *(disk(n) for n in range(21)),
+              gray_tensor(library["cube2"], library["oriental2"]),
+              suspension(library["theta212"])]
+    for x in values:
+        y = parse(emit(x))
+        assert y._depth == x._depth
+        assert_keys_are_basis_objects(y)
+        assert_canonical(y)

@@ -238,6 +238,74 @@ def test_parse_rejects_non_decimal_integers(value):
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("first", ["1", 1], ids=["text", "json"])
+@pytest.mark.parametrize("value", [True, 1.0, "1_0", "\u0661"])
+def test_term_coefficients_are_checked_behind_the_cache(first, value):
+    """A coefficient that equals a cached one as a JSON value, or looks like
+    it, is still refused."""
+    doc = json.loads(emit(oriental(2)))
+    terms = doc["differential"][-1]["terms"]
+    terms[0]["coeff"], terms[1]["coeff"] = first, value
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(doc))
+    assert str(err.value) == f"bad integer {value!r} in terms"
+
+
+def test_term_generators_are_checked_behind_the_cache():
+    doc = json.loads(emit(oriental(1)))
+    terms = doc["differential"][0]["terms"]
+    terms[0]["generator"], terms[1]["generator"] = "1", 1
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(doc))
+    assert str(err.value) == "generator name must be a string in terms"
+
+
+def test_zero_coefficients_are_stored_nowhere():
+    doc = json.loads(emit(oriental(2)))
+    extra = [("2", "0"), ("1", "0"), ("0", 0), ("0", "-0")]  # the second "0" is cached
+    for entry, (g, coeff) in zip(doc["differential"], extra):
+        entry["terms"].append({"generator": g, "coeff": coeff})
+    parsed = parse(json.dumps(doc))
+    assert parsed == oriental(2)
+    for g, chain in parsed.diff.items():
+        assert chain._coeffs == oriental(2).diff[g]._coeffs
+        assert 0 not in chain._coeffs.values()
+
+
+def _shuffled(doc: dict, rng) -> dict:
+    """``doc`` with every list the parser reads in any order shuffled."""
+    for entry in doc["degrees"]:
+        rng.shuffle(entry["generators"])
+    for entry in doc["differential"]:
+        rng.shuffle(entry["terms"])
+    rng.shuffle(doc["differential"])
+    rng.shuffle(doc["augmentation"])
+    return doc
+
+
+def test_parse_sorts_bases_listed_out_of_order():
+    """A document with every list shuffled parses to the same complex, depth
+    and bytes as the document as emitted."""
+    import random
+
+    from steinerlab import gray_tensor, suspension
+
+    rng = random.Random(25)
+    library = shape_library(big=True)
+    values = [*library.values(), gray_tensor(library["cube2"], oriental(2)),
+              suspension(library["theta212"])]
+    reordered = 0
+    for value in values:
+        text = emit(value)
+        doc = _shuffled(json.loads(text), rng)
+        reordered += doc != json.loads(text)
+        original, shuffled = parse(text), parse(json.dumps(doc))
+        assert shuffled == original == value
+        assert emit(shuffled) == emit(original) == text
+        assert shuffled._depth == original._depth == value._depth
+    assert reordered > len(values) // 2
+
+
 def test_big_coefficients_survive():
     from steinerlab import BasedComplex, Chain
 

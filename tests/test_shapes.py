@@ -277,17 +277,18 @@ def test_boundary_decomposition_fails_when_the_cofaces_do_not_commute(monkeypatc
     """A cube coface that appends its letter, whatever the position, still
     gives chain maps, so the colimit is based; but a double face reaches the
     cube with its two letters in either order, and the cocone does not
-    coequalize."""
+    coequalize.  The witness is the first double face, in basis order, whose
+    two images differ."""
     from steinerlab import shapes
 
     def append(pos, letters, g):
         return (shapes._cube_word(g) + letters[0],)
 
     monkeypatch.setattr(shapes, "_cube_coface", append)
-    for n in (2, 3):
+    for n, witness in ((2, "(e.0.1.0.1).(u)"), (3, "(e.0.1.0.1).(0)")):
         assert _items(boundary_decomposition_check("cube", n)) == [
             (f"cube:{n}:COLIMIT_BASED", True, None),
-            (f"cube:{n}:COCONE_COEQUALIZES", False, None),
+            (f"cube:{n}:COCONE_COEQUALIZES", False, witness),
         ]
 
 
