@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import re
 from functools import lru_cache, wraps
+from itertools import islice
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
@@ -643,28 +644,42 @@ def _summary(name: str, *reports: CheckReport) -> CheckItem:
     )
 
 
-def _d2_failures(c: BasedComplex) -> Iterator[Name]:
-    """Each generator whose d(d g) is not zero, in basis order; d(d g) is
-    summed in one dict per generator."""
+def _position_rows(c: BasedComplex) -> list[dict[int, int]]:
+    """Each generator's differential as ``{position: coeff}``, a generator's
+    position being its place in ``c._gen_degree``: degree, then basis order.
+    A vertex's row is empty.  Built once per call of a check, never kept."""
+    position = {g: i for i, g in enumerate(c._gen_degree)}
     diff = c.diff
-    for degree in sorted(c.degrees):
-        if degree < 2:
-            continue
-        for g in c.degrees[degree]:
-            total: dict[Name, int] = {}
-            for h, coeff in diff[g]._coeffs.items():
-                for k, v in diff[h]._coeffs.items():
-                    total[k] = total.get(k, 0) + coeff * v
-            if any(total.values()):
-                yield g
+    return [
+        {position[h]: k for h, k in diff[g]._coeffs.items()} if degree else {}
+        for g, degree in c._gen_degree.items()
+    ]
+
+
+def _d2_failures(c: BasedComplex, rows: list[dict[int, int]]) -> Iterator[Name]:
+    """Each generator whose d(d g) is not zero, in basis order; d(d g) is
+    summed over the rows of ``c`` in one dict per generator, from the first
+    position of degree two: below it, d(d g) has no term."""
+    for i in range(len(c.generators(0)) + len(c.generators(1)), len(rows)):
+        total: dict[int, int] = {}
+        for j, coeff in rows[i].items():
+            for k, v in rows[j].items():
+                total[k] = total.get(k, 0) + coeff * v
+        if any(total.values()):
+            yield next(islice(c._gen_degree, i, None))  # the witness's name
 
 
 def validate_complex(c: BasedComplex) -> CheckReport:
     """Check d∘d = 0, ε∘d₁ = 0, and ε ≥ 0 on vertices, with witnesses."""
+    return _validity(c, _position_rows(c))
+
+
+def _validity(c: BasedComplex, rows: list[dict[int, int]]) -> CheckReport:
+    """:func:`validate_complex`, over the rows :func:`_position_rows` gives."""
     unbalanced = (g for g in c.generators(1) if c.eps(c.diff[g]) != 0)
     negative = (g for g in c.generators(0) if c.aug[g] < 0)
     return report(
-        _first_failure("D2_ZERO", map(render_name, _d2_failures(c))),
+        _first_failure("D2_ZERO", map(render_name, _d2_failures(c, rows))),
         _first_failure("AUG_KILLS_D1", map(render_name, unbalanced)),
         _first_failure("AUG_NONNEGATIVE", map(render_name, negative)),
     )

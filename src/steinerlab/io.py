@@ -17,6 +17,9 @@ term coefficient by its text, so a term read before costs two dict lookups;
 any other term is checked in full.  Each ``generators`` list is sorted by
 ``name_key`` and handed to ``BasedComplex`` as a canonical basis, with the
 depth the name parser measured, so its names are not checked a second time.
+A map's assignment reads its generators through its source's name cache
+and its terms through its target's, so every chain of a parsed map is
+keyed by basis objects.
 """
 
 from __future__ import annotations
@@ -254,7 +257,9 @@ def _built(what: str, build: Callable[[], Any], validate: Callable[[Any], CheckR
     return value
 
 
-def document_to_complex(doc: Any) -> BasedComplex:
+def document_to_complex(doc: Any) -> tuple[BasedComplex, dict[str, Name]]:
+    """The complex ``doc`` describes, and the cache of its names by text:
+    each basis object under the text it was read from."""
     if _need(doc, "format_version", "document") != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {shown(doc['format_version'])}")
     names: dict[str, Name] = {}
@@ -286,20 +291,22 @@ def document_to_complex(doc: Any) -> BasedComplex:
         g = _parse_gen(_need(entry, "generator", "augmentation"), "augmentation", names)
         value = _parse_int(_need(entry, "value", "augmentation"), "augmentation")
         _put_once(aug, g, value, "augmentation")
-    return _built("complex", lambda: BasedComplex(degrees, diff, aug), validate_complex)
+    c = _built("complex", lambda: BasedComplex(degrees, diff, aug), validate_complex)
+    return c, names
 
 
 def document_to_map(doc: dict[str, Any]) -> ComplexMap:
-    source = document_to_complex(_need(doc, "source", "map document"))
-    target = document_to_complex(_need(doc, "target", "map document"))
-    names: dict[str, Name] = {}
+    """The map ``doc`` describes, its assignment keyed by the source's basis
+    objects and its terms by the target's."""
+    source, source_names = document_to_complex(_need(doc, "source", "map document"))
+    target, target_names = document_to_complex(_need(doc, "target", "map document"))
     ints: dict[str, int] = {}
     assignment: dict[Name, Chain] = {}
     for entry in _need_list(doc, "assignment", "map document"):
-        g = _parse_gen(_need(entry, "generator", "assignment"), "assignment", names)
+        g = _parse_gen(_need(entry, "generator", "assignment"), "assignment", source_names)
         if not source.has_generator(g):
             raise ParseError(f"assignment on unknown generator {shown(g)}")
-        terms = _parse_terms(entry, "assignment", names, ints)
+        terms = _parse_terms(entry, "assignment", target_names, ints)
         _put_once(assignment, g, _adopt(source.degree_of(g), terms), "assignment")
     return _built("map", lambda: ComplexMap(source, target, assignment), validate_map)
 
@@ -318,7 +325,7 @@ def parse(text: str) -> Union[BasedComplex, ComplexMap]:
         raise ParseError("document must be a JSON object")
     kind = _need(doc, "kind", "document")
     if kind == "complex":
-        return document_to_complex(doc)
+        return document_to_complex(doc)[0]
     if kind == "map":
         return document_to_map(doc)
     raise ParseError(f"unknown document kind {shown(kind)}")

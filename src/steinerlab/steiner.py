@@ -5,19 +5,26 @@ The differential splits as ``d = plus - minus`` after cancellation; atoms
 descend through these parts; the preorder is generated by "occurs in the
 negative boundary of" and "the positive boundary contains", and strong
 loop-freeness asks that its closure is antisymmetric.  Parts are split
-without sorting, and the linear extension is Kahn's algorithm on a heap of
-``name_key`` ranks.  Past validation, :func:`is_steiner` walks each atom down
-its plus side only: ``d∘d = 0`` gives both entries one differential at each
-level, so the minus entry is the negative part of the chain whose positive
-part is the plus entry, and ``ε∘d₁ = 0`` gives the two level-zero entries one
+without sorting.
+
+:func:`is_steiner` numbers each generator by its place in basis order and
+reads each differential once into a row ``{position: coeff}``, as compressed
+sparse rows do; ``d∘d``, the unitality walk and the loop check run on these
+rows, built per call, and map positions back to names only for a witness.
+Past validation, the unitality walk follows each atom down its plus side
+only: ``d∘d = 0`` gives both entries one differential at each level, so the
+minus entry is the negative part of the chain whose positive part is the
+plus entry, and ``ε∘d₁ = 0`` gives the two level-zero entries one
 augmentation.  The two-sided :func:`atom_table` holds on any complex and is
-the oracle.
+the oracle.  Acyclicity is Kahn's algorithm taking ready positions in any
+order; the linear extension reported replays it on a heap keyed by
+``name_key`` until six generators are out, so it takes the least ready
+generator by name and keys only generators that become ready.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .cells import CellTable
 from .core import (
@@ -29,13 +36,13 @@ from .core import (
     SizeLimitError,
     _adopt,
     _first_failure,
+    _position_rows,
     _Record,
     _set_field,
-    add_scaled,
+    _validity,
     chain_of,
     max_generators,
     report,
-    validate_complex,
 )
 from .names import Name, name_key, render_name, shown
 
@@ -77,39 +84,55 @@ def atom_table(c: BasedComplex, b: Name) -> CellTable:
     return CellTable(c, n, tuple(reversed(minus)), tuple(reversed(plus)))
 
 
-def _plus_floor(c: BasedComplex, b: Name) -> Chain:
-    """``atom_table(c, b).plus[0]`` on a complex with ``d∘d = 0``, reached
-    through one differential and its positive part per level.  The walk stops
-    at an empty part, whose floor is zero whatever the degree."""
-    part = {b: 1}
-    for _ in range(c.degree_of(b)):
+def _floor(rows: list[dict[int, int]], i: int, degree: int) -> dict[int, int]:
+    """The plus entry at level zero of the atom of the generator at position
+    ``i``, of ``degree``, as ``{position: coeff}``: one differential and its
+    positive part per level, over ``rows`` of a complex with ``d∘d = 0``.  The
+    walk stops at an empty part, whose floor is zero whatever the degree."""
+    part = {i: 1}
+    for _ in range(degree):
+        dx: dict[int, int] = {}
+        for j, coeff in part.items():
+            for k, v in rows[j].items():
+                dx[k] = dx.get(k, 0) + coeff * v
+        part = {k: v for k, v in dx.items() if v > 0}
         if not part:
             break
-        dx: dict[Name, int] = {}
-        for name, coeff in part.items():
-            add_scaled(dx, c.diff[name]._coeffs, coeff)
-        part = {n: v for n, v in dx.items() if v > 0}
-    return _adopt(0, part)
+    return part
 
 
-def _atom_floors(c: BasedComplex, b: Name) -> tuple[Chain, Chain]:
-    """Both level-zero entries of the atom of ``b``."""
-    t = atom_table(c, b)
-    return t.minus[0], t.plus[0]
+def _plus_floor(c: BasedComplex, b: Name) -> Chain:
+    """``atom_table(c, b).plus[0]`` on a complex with ``d∘d = 0``: the row
+    walk of :func:`is_steiner`, read back as names."""
+    degree = c.degree_of(b)  # refuses an unknown generator
+    names = list(c._gen_degree)
+    part = _floor(_position_rows(c), names.index(b), degree)
+    return _adopt(0, {names[j]: v for j, v in part.items()})
 
 
-def _unitality(c: BasedComplex, floors) -> CheckItem:
-    """``UNITALITY``: the witness is the first generator, in basis order,
-    with an entry of ``floors(c, b)`` whose augmentation is not one."""
+def _unitality(c: BasedComplex, rows: list[dict[int, int]]) -> CheckItem:
+    """``UNITALITY`` on a complex with ``d∘d = 0`` and ``ε∘d₁ = 0``: the
+    witness is the first generator, in basis order, whose plus floor has an
+    augmentation other than one, summed by position over ``rows``."""
+    aug = [c.aug[v] for v in c.generators(0)]  # vertices hold the first positions
     non_unital = (
-        b for _, b in c.all_generators() if any(c.eps(x) != 1 for x in floors(c, b))
+        g
+        for i, (g, degree) in enumerate(c._gen_degree.items())
+        if sum(aug[j] * v for j, v in _floor(rows, i, degree).items()) != 1
     )
     return _first_failure("UNITALITY", map(render_name, non_unital))
 
 
 def unitality_check(c: BasedComplex) -> CheckReport:
-    """Every atom must reach augmentation one at level zero on both sides."""
-    return report(_unitality(c, _atom_floors))
+    """Every atom must reach augmentation one at level zero on both sides;
+    the witness is the first generator, in basis order, whose atom does not."""
+
+    def non_unital(b: Name) -> bool:
+        t = atom_table(c, b)
+        return c.eps(t.minus[0]) != 1 or c.eps(t.plus[0]) != 1
+
+    failing = (b for _, b in c.all_generators() if non_unital(b))
+    return report(_first_failure("UNITALITY", map(render_name, failing)))
 
 
 class PreorderRelation(_Record):
@@ -128,72 +151,114 @@ class PreorderRelation(_Record):
         return out
 
 
-def _preorder(c: BasedComplex, order) -> PreorderRelation:
-    """:func:`preorder`, each part of each differential listed in ``order``.
-    Edges join adjacent degrees, so none is a loop."""
+def preorder(c: BasedComplex) -> PreorderRelation:
+    """Generated by: x below g for x in the negative part of d(g), and g
+    below y for y in the positive part.  Edges join adjacent degrees, so
+    none is a loop."""
     elements = tuple(g for _, g in c.all_generators())
     edges: list[tuple[Name, Name]] = []
     for degree, g in c.all_generators():
         if degree:
             plus, minus = _split(c.diff[g]._coeffs)
-            edges += [(x, g) for x in order(minus)] + [(g, y) for y in order(plus)]
+            edges += [(x, g) for x in sorted(minus, key=name_key)]
+            edges += [(g, y) for y in sorted(plus, key=name_key)]
     return PreorderRelation(elements, tuple(edges))
-
-
-def preorder(c: BasedComplex) -> PreorderRelation:
-    """Generated by: x below g for x in the negative part of d(g), and g
-    below y for y in the positive part."""
-    return _preorder(c, lambda part: sorted(part, key=name_key))
 
 
 def is_strongly_loopfree(c: BasedComplex) -> CheckReport:
     """Antisymmetry of the generated preorder: no directed cycle through two
     or more distinct generators.  The witness is a cycle on failure; a linear
     extension is attached on success."""
-    rel = _preorder(c, list)  # edge order cannot change the result
-    succ = rel.successors()
-    indegree = Counter(b for _, b in rel.edges)
-    rank = c._ranks()
-    by_rank = list(rank)
-    ready = [i for i, g in enumerate(by_rank) if not indegree[g]]  # sorted: a heap
-    order: list[Name] = []
+    return report(_loopfree(c, _position_rows(c)))
+
+
+def _loopfree(c: BasedComplex, rows: list[dict[int, int]]) -> CheckItem:
+    """The ``STRONGLY_LOOPFREE`` item over the rows of ``c``.  Kahn's
+    algorithm, taking ready generators in any order, decides acyclicity; the
+    text of either verdict is the one of the name-ordered algorithm."""
+    succ: list[list[int]] = [[] for _ in rows]
+    indegree = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if v > 0:  # i below j
+                succ[i].append(j)
+                indegree[j] += 1
+            else:  # j below i
+                succ[j].append(i)
+                indegree[i] += 1
+    left = indegree.copy()
+    ready = [i for i, k in enumerate(left) if not k]
+    done = 0
     while ready:
-        node = by_rank[heappop(ready)]
-        order.append(node)
-        for nxt in succ[node]:
-            indegree[nxt] -= 1
-            if not indegree[nxt]:
-                heappush(ready, rank[nxt])
-    if len(order) == len(rel.elements):
-        extension = " < ".join(render_name(g) for g in order[:6])
-        more = "" if len(order) <= 6 else " < ..."
-        return report(CheckItem("STRONGLY_LOOPFREE", True, extension + more if order else None))
-    remaining = {e for e in rel.elements if indegree[e] > 0}
-    pred: dict[Name, list[Name]] = {e: [] for e in remaining}
-    for a, b in rel.edges:
-        if a in remaining and b in remaining:
-            pred[b].append(a)
-    seen: list[Name] = []
-    node = min(remaining, key=name_key)
+        i = ready.pop()
+        done += 1
+        for j in succ[i]:
+            left[j] -= 1
+            if not left[j]:
+                ready.append(j)
+    if done < len(rows):
+        return CheckItem("STRONGLY_LOOPFREE", False, _cycle(c, succ, left))
+    return CheckItem("STRONGLY_LOOPFREE", True, _extension(c, succ, indegree))
+
+
+def _extension(c: BasedComplex, succ: list[list[int]], indegree: list[int]) -> str | None:
+    """The first six generators of the linear extension that takes the least
+    ready generator by name first, then ``" < ..."`` if more follow; None on
+    an empty complex.  Kahn's algorithm on a heap of ``(name_key, position)``
+    stops after six, so only generators that become ready get a key."""
+    names = list(c._gen_degree)
+    left = indegree.copy()
+    ready = [(name_key(names[i]), i) for i, k in enumerate(left) if not k]
+    heapify(ready)
+    order: list[Name] = []
+    while ready and len(order) < 6:
+        i = heappop(ready)[1]
+        order.append(names[i])
+        for j in succ[i]:
+            left[j] -= 1
+            if not left[j]:
+                heappush(ready, (name_key(names[j]), j))
+    if not order:
+        return None
+    return " < ".join(map(render_name, order)) + (" < ..." if len(names) > 6 else "")
+
+
+def _cycle(c: BasedComplex, succ: list[list[int]], left: list[int]) -> str:
+    """A cycle among the generators Kahn's algorithm left unplaced (``left[i]``
+    edges into each still unread): from the least of them by name, step to
+    the least predecessor left until one repeats."""
+    names = list(c._gen_degree)
+    remaining = {i for i, k in enumerate(left) if k}
+    pred: dict[int, list[int]] = {i: [] for i in remaining}
+    for i in remaining:
+        for j in succ[i]:
+            if j in remaining:
+                pred[j].append(i)
+
+    def key(i: int):
+        return name_key(names[i])
+
+    seen: list[int] = []
+    node = min(remaining, key=key)
     while node not in seen:
         seen.append(node)
-        node = min(pred[node], key=name_key)
+        node = min(pred[node], key=key)
     cycle = [node] + list(reversed(seen[seen.index(node) + 1 :])) + [node]
-    witness = " <= ".join(render_name(g) for g in cycle)
-    return report(CheckItem("STRONGLY_LOOPFREE", False, witness))
+    return " <= ".join(render_name(names[i]) for i in cycle)
 
 
 def is_steiner(c: BasedComplex) -> CheckReport:
     """Conjunction: valid complex, all atoms natural, unital, loop-free.
 
+    The three walks read one table of position rows, built for this call.
     Past validation, ``UNITALITY`` descends each atom once, through positive
     parts: ``d∘d = 0`` and ``ε∘d₁ = 0`` make the minus side agree (see the
     module docstring), so the witness is :func:`unitality_check`'s.
     ``ATOMS_NATURAL`` is a constant pass: entries below the top are parts of
     splits, positive by construction."""
-    base = validate_complex(c)
+    rows = _position_rows(c)
+    base = _validity(c, rows)
     if not base.passed:
         return base
-    unital = _unitality(c, lambda c, b: (_plus_floor(c, b),))
-    atoms = report(CheckItem("ATOMS_NATURAL", True, None), unital)
-    return base.merged(atoms).merged(is_strongly_loopfree(c))
+    atoms = report(CheckItem("ATOMS_NATURAL", True, None), _unitality(c, rows))
+    return base.merged(atoms).merged(report(_loopfree(c, rows)))

@@ -47,6 +47,15 @@ from steinerlab.acceptance import (
 )
 from steinerlab.core import ComplexMap, coproduct
 from steinerlab.names import MAX_NAME_DEPTH, name_depth, name_key
+from steinerlab.ops import cube_selfduality, swap_iso_co, swap_iso_op
+from steinerlab.retract import (
+    RetractionPair,
+    q2,
+    s2,
+    section_ell,
+    section_q_cube,
+    section_xi,
+)
 
 
 def assert_canonical(c: BasedComplex) -> None:
@@ -217,12 +226,25 @@ def test_depth_at_the_bound_is_built():
         coproduct([(_nested(MAX_NAME_DEPTH), unit())])
 
 
-def assert_keys_are_basis_objects(c: BasedComplex) -> None:
+def _basis_ids(c: BasedComplex) -> set[int]:
+    return {id(g) for gens in c.degrees.values() for g in gens}
+
+
+def assert_keys_are_basis_objects(x: BasedComplex | ComplexMap) -> None:
     """Every generator a differential is given on, and every term of every
-    differential, is the very name object of ``c``'s basis."""
-    basis = {id(g) for gens in c.degrees.values() for g in gens}
-    assert all(id(g) in basis for g in c.diff)
-    assert all(id(h) in basis for chain in c.diff.values() for h in chain._coeffs)
+    differential, is the very name object of ``x``'s basis.  For a map, that
+    holds of its source and its target, every generator it is given on is a
+    source basis object and every term of every image a target one."""
+    if isinstance(x, ComplexMap):
+        assert_keys_are_basis_objects(x.source)
+        assert_keys_are_basis_objects(x.target)
+        source, target = _basis_ids(x.source), _basis_ids(x.target)
+        assert all(id(g) in source for g in x.assignment)
+        assert all(id(h) in target for chain in x.assignment.values() for h in chain._coeffs)
+        return
+    basis = _basis_ids(x)
+    assert all(id(g) in basis for g in x.diff)
+    assert all(id(h) in basis for chain in x.diff.values() for h in chain._coeffs)
 
 
 def test_builders_key_every_chain_by_basis_objects():
@@ -263,3 +285,20 @@ def test_parsed_complexes_keep_depth_and_basis_objects():
         assert y._depth == x._depth
         assert_keys_are_basis_objects(y)
         assert_canonical(y)
+
+
+def test_parsed_maps_key_every_chain_by_basis_objects():
+    """``parse`` reads a map's assignment through the name caches of its
+    source and target: the retraction pairs and the dualities."""
+    pairs = [RetractionPair(s2(), q2())]
+    for n in range(4):
+        pairs += [section_q_cube(n), section_xi(n), section_ell(n)]
+    maps = [m for pair in pairs for m in (pair.embed, pair.retract)]
+    maps += [cube_selfduality(n, which) for n in range(4) for which in ("op", "co")]
+    library = shape_library()
+    for a, b in ((library["cube2"], library["oriental2"]), (library["disk2"], interval())):
+        maps += [swap_iso_op(a, b), swap_iso_co(a, b)]
+    for m in maps:
+        y = parse(emit(m))
+        assert y == m
+        assert_keys_are_basis_objects(y)

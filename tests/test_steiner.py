@@ -8,6 +8,7 @@ from steinerlab import (
     CheckItem,
     chain_of,
     cube,
+    direct_sum,
     disk,
     gray_tensor,
     interval,
@@ -21,6 +22,7 @@ from steinerlab import (
     unit,
     unitality_check,
     validate_complex,
+    wedge,
     zero,
 )
 from steinerlab.acceptance import (
@@ -31,8 +33,8 @@ from steinerlab.acceptance import (
     random_steiner_complex,
 )
 from steinerlab.cells import CellTable
-from steinerlab.core import DegreeMismatchError, report
-from steinerlab.names import name_key, render_name
+from steinerlab.core import DegreeMismatchError, _d2_failures, _position_rows, coproduct, report
+from steinerlab.names import name_key, parse_name, render_name
 from steinerlab.steiner import atom_table
 
 
@@ -252,14 +254,41 @@ def _differential_corpus():
     # invalid complexes: is_steiner stops at validation; atoms are still compared
     corpus += [fixture_broken_d2(), fixture_broken_augmentation()]
     corpus += [random_steiner_complex(rng) for _ in range(25)]
+    graphs = []
     for _ in range(25):
         g = _random_graph(rng)
+        graphs.append(g)
         corpus += [g, gray_tensor(g, interval()), suspension(g)]
+    # unions and wedges: several generators of in-degree zero, and linear
+    # extensions whose first six generators interleave degrees
+    shapes = list(shape_library().values())
+    for _ in range(12):
+        a, b = rng.choice(shapes), rng.choice(shapes + graphs)
+        corpus += [
+            direct_sum(a, b),
+            coproduct([("p", a), ("q", rng.choice(graphs)), ("r", b)]),
+            wedge(a, rng.choice(a.generators(0)), b, rng.choice(b.generators(0))),
+        ]
     return corpus
+
+
+def _interleaves(c, item):
+    """Whether ``item`` extends the preorder of ``c`` from two or more
+    generators of in-degree zero, listing a generator of some degree after
+    one of a higher degree among its first six."""
+    if item.name != "STRONGLY_LOOPFREE" or not item.passed or not item.witness:
+        return False
+    targets = {b for _, b in _oracle_edges(c)}
+    if sum(g not in targets for _, g in c.all_generators()) < 2:
+        return False
+    first = [parse_name(text) for text in item.witness.split(" < ") if text != "..."]
+    degrees = [c.degree_of(g) for g in first]
+    return degrees != sorted(degrees)
 
 
 def test_is_steiner_matches_sorted_oracle():
     verdicts = set()
+    interleaved = 0
     for c in _differential_corpus():
         rep = is_steiner(c)
         expected = _oracle_is_steiner(c)
@@ -271,8 +300,10 @@ def test_is_steiner_matches_sorted_oracle():
         for _, b in c.all_generators():
             assert atom_table(c, b) == _oracle_atom(c, b)
         verdicts.add(tuple(item.passed for item in rep.checks))
+        interleaved += _interleaves(c, expected[-1])
     # the corpus reaches each outcome: all pass, not unital, not loop-free
     assert {(True,) * 6, (True,) * 4 + (False, True), (True,) * 5 + (False,)} <= verdicts
+    assert interleaved
 
 
 def test_report_text_is_pinned():
@@ -347,3 +378,48 @@ def test_atom_tables_past_the_generator_limit_are_refused(monkeypatch):
         atom_table(c, ("e",))
     monkeypatch.setenv("STEINERLAB_MAX_GENERATORS", "1")
     assert atom_table(interval(), ("i",)).dim == 1
+
+
+def _oracle_d2_failures(c):
+    """Each generator whose d(d g) is not zero, in basis order, summed by
+    name over the complex's differentials."""
+    for degree, g in c.all_generators():
+        if degree >= 2:
+            total = {}
+            for h, coeff in c.diff[g]._coeffs.items():
+                for k, v in c.diff[h]._coeffs.items():
+                    total[k] = total.get(k, 0) + coeff * v
+            if any(total.values()):
+                yield g
+
+
+def _perturbed(c, rng):
+    """``c`` with one coefficient of one differential of degree at least
+    one moved by one, or None when it has no such differential."""
+    gens = [(deg, g) for deg, g in c.all_generators() if deg and c.generators(deg - 1)]
+    if not gens:
+        return None
+    deg, g = rng.choice(gens)
+    terms = dict(c.diff[g]._coeffs)
+    h = rng.choice(c.generators(deg - 1))
+    terms[h] = terms.get(h, 0) + rng.choice((-1, 1))
+    return BasedComplex(c.degrees, {**c.diff, g: Chain(deg - 1, terms)}, c.aug)
+
+
+def test_row_walk_for_d2_matches_name_keyed_walk():
+    """The row walk of ``D2_ZERO`` fails at the generators, in the order,
+    that a walk keyed by names fails at: on valid shapes, on the broken
+    fixture and on seeded single-coefficient perturbations."""
+    rng = random.Random(20261020)
+    corpus = _differential_corpus() + [cube(3), oriental(4)]
+    corpus += [_perturbed(c, rng) for c in corpus for _ in range(3)]
+    late_witnesses = 0
+    for c in filter(None, corpus):
+        expected = list(_oracle_d2_failures(c))
+        assert list(_d2_failures(c, _position_rows(c))) == expected
+        witness = render_name(expected[0]) if expected else None
+        assert validate_complex(c).checks[0] == CheckItem("D2_ZERO", not expected, witness)
+        upper = [g for deg, g in c.all_generators() if deg >= 2]
+        late_witnesses += bool(expected) and expected[0] != upper[0]
+    assert [render_name(g) for g in _oracle_d2_failures(fixture_broken_d2())] == ["c"]
+    assert late_witnesses
