@@ -13,7 +13,8 @@ a pivot costs the rows it changes rather than a rescan of all of them.
 Eliminated generators resolve to survivors in one loop, without recursion,
 however long the chain of identifications.  Relation rows, legs and
 projections are read from each chain's dict without sorting: rows are keyed
-by basis position, and chains compare as dicts.
+by ``core._positions`` of the ambient, the numbering ``is_steiner`` reads,
+and chains compare as dicts.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from .core import (
     MalformedError,
     SteinerlabError,
     _adopt,
+    _positions,
     _Record,
     _set_field,
+    _tagged_union,
     add_scaled,
     chain_of,
-    direct_sum,
 )
 from .names import Name, name_key, render_name
 
@@ -79,13 +81,14 @@ class PushoutResult(_Record):
 class _Eliminator:
     """Quotient of one graded piece by integer relations, via unit pivots.
 
-    Rows map basis positions (indices into the ambient degree) to non-zero
-    coefficients.  The pivot is the entry of smallest absolute value, then
-    position, then row.  A unit pivot eliminates its generator from every
-    other row, parked ones included, so rows never hold eliminated
-    generators.  A non-unit pivot reduces the other rows by floor division,
-    or is parked in ``residual`` if it reduces none; a pass that changed a
-    parked row runs again on the parked rows.
+    Rows map positions of one degree's generators (as ``core._positions``
+    numbers them, so in basis order) to non-zero coefficients.  The pivot is
+    the entry of smallest absolute value, then position, then row.  A unit
+    pivot eliminates its generator from every other row, parked ones
+    included, so rows never hold eliminated generators.  A non-unit pivot
+    reduces the other rows by floor division, or is parked in ``residual``
+    if it reduces none; a pass that changed a parked row runs again on the
+    parked rows.
 
     A pass keys its live rows by a sequence number: the rows it starts with
     get ``0..n-1`` and a reducing non-unit pivot row comes back with the next
@@ -248,23 +251,20 @@ def quotient_by_relations(ambient: BasedComplex, relations: list[Chain]) -> Push
     A based quotient comes with the projection as both legs; otherwise the
     result carries the torsion witness, if any, and the reason.
     """
-    positions = {
-        deg: {g: i for i, g in enumerate(gens)} for deg, gens in ambient.degrees.items()
-    }
+    position, degree_of = _positions(ambient), ambient._gen_degree.get
     by_degree: dict[int, list[dict[int, int]]] = {}
     for rel in relations:
-        where = positions.get(rel.degree, {})
-        try:
-            row = {where[g]: c for g, c in rel._coeffs.items()}
-        except KeyError:
-            stray = min((g for g in rel._coeffs if g not in where), key=name_key)
+        stray = [g for g in rel._coeffs if degree_of(g) != rel.degree]
+        if stray:
             raise MalformedError(
-                f"relation term {render_name(stray)} is not a degree"
-                f" {rel.degree} generator of the ambient complex"
-            ) from None
-        if row:
+                f"relation term {render_name(min(stray, key=name_key))} is not a"
+                f" degree {rel.degree} generator of the ambient complex"
+            )
+        if rel._coeffs:
+            row = {position[g]: c for g, c in rel._coeffs.items()}
             by_degree.setdefault(rel.degree, []).append(row)
-    resolved: dict[int, dict[int, dict[int, int]]] = {}
+    # positions differ across degrees, so one table holds every degree's
+    resolved: dict[int, dict[int, int]] = {}
     for degree in sorted(by_degree):
         elim = _Eliminator(by_degree[degree])
         failure = elim.run()
@@ -273,24 +273,22 @@ def quotient_by_relations(ambient: BasedComplex, relations: list[Chain]) -> Push
             witness = (degree, divisor) if kind == "torsion" else None
             reason = f"degree {degree}: {kind} quotient"
             return PushoutResult(None, None, None, False, witness, reason)
-        resolved[degree] = elim.resolved()
+        resolved.update(elim.resolved())
+
+    names = list(ambient._gen_degree)
 
     def project(chain: Chain) -> Chain:
-        images = resolved.get(chain.degree)
-        if images is None:
-            return chain
-        where, gens = positions[chain.degree], ambient.degrees[chain.degree]
         out: dict[int, int] = {}
         for name, coeff in chain._coeffs.items():
-            p = where[name]
-            add_scaled(out, images.get(p, {p: 1}), coeff)
-        return _adopt(chain.degree, {gens[p]: c for p, c in out.items()})
+            p = position[name]
+            add_scaled(out, resolved.get(p, {p: 1}), coeff)
+        return _adopt(chain.degree, {names[p]: c for p, c in out.items()})
 
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
     aug: dict[Name, int] = {}
     for degree, g in ambient.all_generators():
-        if positions[degree][g] in resolved.get(degree, ()):
+        if position[g] in resolved:
             continue
         degrees.setdefault(degree, []).append(g)
         if degree:
@@ -310,22 +308,23 @@ def pushout(f: ComplexMap, g: ComplexMap) -> PushoutResult:
     """Pushout of the span ``target(f) <- source -> target(g)``."""
     if f.source != g.source:
         raise CompositionError("pushout legs must share a source", code="SOURCE_MISMATCH")
-    ambient = direct_sum(f.target, g.target)
+    ambient, tables = _tagged_union([("l", f.target), ("r", g.target)])
+    left, right = tables.get("l", {}), tables.get("r", {})
     relations = []
     for deg, c in f.source.all_generators():
-        left = _adopt(deg, {("l", n): v for n, v in f.of_gen(c)._coeffs.items()})
-        right = _adopt(deg, {("r", n): v for n, v in g.of_gen(c)._coeffs.items()})
-        relations.append(left - right)
+        row = {left[n]: v for n, v in f.of_gen(c)._coeffs.items()}
+        add_scaled(row, {right[n]: v for n, v in g.of_gen(c)._coeffs.items()}, -1)
+        relations.append(_adopt(deg, row))
     result = quotient_by_relations(ambient, relations)
     if not result.based:
         return result
     quotient, projection = result.complex, result.leg_a
 
-    def leg(part: BasedComplex, tag: str) -> ComplexMap:
-        images = {x: projection.of_gen((tag, x)) for _, x in part.all_generators()}
+    def leg(part: BasedComplex, table: dict[Name, Name]) -> ComplexMap:
+        images = {x: projection.of_gen(table[x]) for x in part._gen_degree}
         return ComplexMap(part, quotient, images)
 
-    return PushoutResult(quotient, leg(f.target, "l"), leg(g.target, "r"), True)
+    return PushoutResult(quotient, leg(f.target, left), leg(g.target, right), True)
 
 
 def coequalizer(f: ComplexMap, g: ComplexMap) -> PushoutResult:

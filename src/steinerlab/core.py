@@ -644,11 +644,17 @@ def _summary(name: str, *reports: CheckReport) -> CheckItem:
     )
 
 
+def _positions(c: BasedComplex) -> dict[Name, int]:
+    """Each generator's position: its place in ``c._gen_degree``, that is
+    degree, then basis order.  The one numbering of generators; built once
+    per call that needs it, never kept."""
+    return {g: i for i, g in enumerate(c._gen_degree)}
+
+
 def _position_rows(c: BasedComplex) -> list[dict[int, int]]:
-    """Each generator's differential as ``{position: coeff}``, a generator's
-    position being its place in ``c._gen_degree``: degree, then basis order.
-    A vertex's row is empty.  Built once per call of a check, never kept."""
-    position = {g: i for i, g in enumerate(c._gen_degree)}
+    """Each generator's differential as ``{position: coeff}``, by
+    :func:`_positions`.  A vertex's row is empty."""
+    position = _positions(c)
     diff = c.diff
     return [
         {position[h]: k for h, k in diff[g]._coeffs.items()} if degree else {}

@@ -38,6 +38,7 @@ from .core import (
     _adopt,
     _Canonical,
     _int_to_text,
+    _positions,
     _short_int,
     _text_to_int,
     validate_complex,
@@ -66,15 +67,13 @@ class ValidationError(SteinerlabError):
 
 
 def _basis_table(c: BasedComplex) -> dict[Name, tuple[int, str]]:
-    """Each generator's position in its degree's basis, and its name as JSON text.
+    """Each generator's position, as :func:`~steinerlab.core._positions`
+    numbers it, and its name as JSON text.
 
-    Bases are sorted by ``name_key``, so position order is name order.
+    Bases are sorted by ``name_key``, so within one degree position order is
+    name order.
     """
-    return {
-        g: (i, encode_basestring(render_name(g)))
-        for gens in c.degrees.values()
-        for i, g in enumerate(gens)
-    }
+    return {g: (i, encode_basestring(render_name(g))) for g, i in _positions(c).items()}
 
 
 def _array(items: list[str], pad: str) -> str:

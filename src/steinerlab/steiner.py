@@ -37,6 +37,7 @@ from .core import (
     _adopt,
     _first_failure,
     _position_rows,
+    _positions,
     _Record,
     _set_field,
     _validity,
@@ -105,8 +106,8 @@ def _plus_floor(c: BasedComplex, b: Name) -> Chain:
     """``atom_table(c, b).plus[0]`` on a complex with ``d∘d = 0``: the row
     walk of :func:`is_steiner`, read back as names."""
     degree = c.degree_of(b)  # refuses an unknown generator
+    part = _floor(_position_rows(c), _positions(c)[b], degree)
     names = list(c._gen_degree)
-    part = _floor(_position_rows(c), names.index(b), degree)
     return _adopt(0, {names[j]: v for j, v in part.items()})
 
 
@@ -143,12 +144,6 @@ class PreorderRelation(_Record):
     def __init__(self, elements: tuple[Name, ...], edges: tuple[tuple[Name, Name], ...]):
         _set_field(self, "elements", elements)
         _set_field(self, "edges", edges)
-
-    def successors(self) -> dict[Name, list[Name]]:
-        out: dict[Name, list[Name]] = {e: [] for e in self.elements}
-        for a, b in self.edges:
-            out[a].append(b)
-        return out
 
 
 def preorder(c: BasedComplex) -> PreorderRelation:

@@ -134,6 +134,67 @@ def test_coequalizer_of_a_long_path_collapses_without_recursion():
 
 def test_quotient_rejects_relations_off_the_ambient_basis():
     a = _free_degree_one(["x", "y"])
-    for rel in (Chain(1, {("z",): 1}), Chain(0, {("x",): 1})):
-        with pytest.raises(MalformedError):
+    cases = [
+        # an unknown name
+        (Chain(1, {("z",): 1}), "z", 1),
+        # a known name in the wrong degree
+        (Chain(0, {("x",): 1}), "x", 0),
+        # two strays: the name_key-least is the witness, whatever the order
+        (Chain(1, {("z",): 1, ("x",): 1, ("w",): 1}), "w", 1),
+    ]
+    for rel, stray, degree in cases:
+        with pytest.raises(MalformedError) as caught:
             quotient_by_relations(a, [Chain(1, {("x",): 1}), rel])
+        assert str(caught.value) == (
+            f"relation term {stray} is not a degree {degree} generator of the"
+            " ambient complex"
+        )
+
+
+def _two_intervals():
+    """Intervals e: a -> b and f: c -> d, side by side."""
+    a, b, c, d, e, f = [(n,) for n in "abcdef"]
+    return BasedComplex(
+        {0: [a, b, c, d], 1: [e, f]},
+        {e: Chain(0, {b: 1, a: -1}), f: Chain(0, {d: 1, c: -1})},
+        {v: 1 for v in (a, b, c, d)},
+    )
+
+
+def test_quotient_by_based_relations_in_two_degrees():
+    # a = c and b = d in degree 0, e = f in degree 1: one interval is left.
+    # Each unit pivot is the lower position, so c, d and f survive.
+    a, b, c, d, e, f = [(n,) for n in "abcdef"]
+    relations = [
+        Chain(1, {e: 1, f: -1}),
+        Chain(0, {a: 1, c: -1}),
+        Chain(0, {b: 1, d: -1}),
+    ]
+    result = quotient_by_relations(_two_intervals(), relations)
+    q = result.require_based()
+    assert q.degrees == {0: (c, d), 1: (f,)}
+    assert q.diff == {f: Chain(0, {d: 1, c: -1})}
+    assert q.aug == {c: 1, d: 1}
+    assert validate_complex(q).passed
+    images = {a: c, b: d, c: c, d: d}
+    assert {g: result.leg_a.of_gen(g) for g in images} == {
+        g: Chain(0, {h: 1}) for g, h in images.items()
+    }
+    assert result.leg_a.of_gen(e) == result.leg_a.of_gen(f) == Chain(1, {f: 1})
+    assert result.leg_b == result.leg_a
+
+
+def test_quotient_reports_the_lowest_failing_degree():
+    # degree 0 is free but not based (2a + 3b), degree 1 has torsion (2e);
+    # elimination stops at degree 0, which is reported with no witness
+    a, b, e = ("a",), ("b",), ("e",)
+    relations = [Chain(1, {e: 2}), Chain(0, {a: 2, b: 3})]
+    result = quotient_by_relations(_two_intervals(), relations)
+    assert not result.based
+    assert result.complex is result.leg_a is result.leg_b is None
+    assert result.torsion_witness is None
+    assert result.reason == "degree 0: non-based quotient"
+    # on its own, the degree-1 relation is torsion
+    alone = quotient_by_relations(_two_intervals(), relations[:1])
+    assert alone.torsion_witness == (1, 2)
+    assert alone.reason == "degree 1: torsion quotient"
