@@ -15,12 +15,22 @@ however long the chain of identifications.  Relation rows, legs and
 projections are read from each chain's dict without sorting: rows are keyed
 by ``core._positions`` of the ambient, the numbering ``is_steiner`` reads,
 and chains compare as dicts.
+
+A relation set whose rows are all ``x - y`` (two terms, coefficients 1 and
+-1), as the boundary coequalizers give by gluing along basis inclusions,
+is not eliminated: a union-find resolves each class of identified positions
+to its highest one, which is the survivor the pivot rule keeps (see
+:func:`_unit_classes`).  Every other row set goes to the eliminator, the
+union-find's oracle in the tests.  The survivors are a subsequence of the
+ambient's canonical bases, so they are handed to ``BasedComplex`` as
+canonical bases with their exact depth, and each projection image is read
+straight off the resolved table.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import (
     BasedComplex,
@@ -30,14 +40,14 @@ from .core import (
     MalformedError,
     SteinerlabError,
     _adopt,
+    _Canonical,
     _positions,
     _Record,
     _set_field,
     _tagged_union,
     add_scaled,
-    chain_of,
 )
-from .names import Name, name_key, render_name
+from .names import Name, name_depth, name_key, render_name
 
 
 class NonBasedPushoutError(SteinerlabError):
@@ -245,6 +255,42 @@ def _diagonal_divisors(rows: list[dict[int, int]]) -> list[int]:
     return divisors
 
 
+def _unit_classes(rows: list[dict[int, int]]) -> Optional[dict[int, dict[int, int]]]:
+    """The resolved table of relation rows that are all ``x - y``, or None
+    when some row is not: two terms, coefficients 1 and -1.
+
+    Each class of identified positions resolves to its highest position, by
+    a union-find that links the lower root under the higher (Tarjan 1975).
+    This is the table :class:`_Eliminator` reaches on such rows: every entry
+    has absolute value one, so its heap pivots on the lowest live position,
+    whose row partner is higher, and substituting the pivot leaves every
+    other row ``x - y`` or empty.  The highest position of a class is never
+    a pivot, so it is the class's one survivor.
+    """
+    parent: dict[int, int] = {}
+    up = parent.get
+
+    def root(p: int) -> int:
+        while True:  # path halving
+            q = up(p, p)
+            if q == p:
+                return p
+            parent[p] = p = up(q, q)
+
+    for row in rows:
+        if len(row) != 2:
+            return None
+        (x, a), (y, b) = row.items()
+        if a + b or (a != 1 and a != -1):
+            return None
+        x, y = root(x), root(y)
+        if x < y:
+            parent[x] = y
+        elif y < x:
+            parent[y] = x
+    return {p: {root(p): 1} for p in parent}
+
+
 def quotient_by_relations(ambient: BasedComplex, relations: list[Chain]) -> PushoutResult:
     """Quotient a based complex by homogeneous relations spanning a subcomplex.
 
@@ -264,16 +310,18 @@ def quotient_by_relations(ambient: BasedComplex, relations: list[Chain]) -> Push
             row = {position[g]: c for g, c in rel._coeffs.items()}
             by_degree.setdefault(rel.degree, []).append(row)
     # positions differ across degrees, so one table holds every degree's
-    resolved: dict[int, dict[int, int]] = {}
-    for degree in sorted(by_degree):
-        elim = _Eliminator(by_degree[degree])
-        failure = elim.run()
-        if failure is not None:
-            divisor, kind = failure
-            witness = (degree, divisor) if kind == "torsion" else None
-            reason = f"degree {degree}: {kind} quotient"
-            return PushoutResult(None, None, None, False, witness, reason)
-        resolved.update(elim.resolved())
+    resolved = _unit_classes([row for rows in by_degree.values() for row in rows])
+    if resolved is None:
+        resolved = {}
+        for degree in sorted(by_degree):
+            elim = _Eliminator(by_degree[degree])
+            failure = elim.run()
+            if failure is not None:
+                divisor, kind = failure
+                witness = (degree, divisor) if kind == "torsion" else None
+                reason = f"degree {degree}: {kind} quotient"
+                return PushoutResult(None, None, None, False, witness, reason)
+            resolved.update(elim.resolved())
 
     names = list(ambient._gen_degree)
 
@@ -284,24 +332,41 @@ def quotient_by_relations(ambient: BasedComplex, relations: list[Chain]) -> Push
             add_scaled(out, resolved.get(p, {p: 1}), coeff)
         return _adopt(chain.degree, {names[p]: c for p, c in out.items()})
 
+    # survivors keep the ambient's basis order, so each basis stays canonical
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
     aug: dict[Name, int] = {}
-    for degree, g in ambient.all_generators():
-        if position[g] in resolved:
+    images: dict[Name, Chain] = {}
+    for p, (g, degree) in enumerate(ambient._gen_degree.items()):
+        terms = resolved.get(p)
+        if terms is not None:
+            images[g] = _adopt(degree, {names[q]: c for q, c in terms.items()})
             continue
+        images[g] = _adopt(degree, {g: 1})
         degrees.setdefault(degree, []).append(g)
         if degree:
             diff[g] = project(ambient.diff[g])
         else:
             aug[g] = ambient.aug[g]
-    quotient = BasedComplex(degrees, diff, aug)
-    projection = ComplexMap(
-        ambient,
-        quotient,
-        {g: project(chain_of(deg, g)) for deg, g in ambient.all_generators()},
-    )
+    depth = ambient._depth
+    if resolved:  # the deepest names may all be gone
+        depth = _depth_below(degrees.values(), depth)
+    bases = {degree: _Canonical(gens, depth) for degree, gens in degrees.items()}
+    quotient = BasedComplex(bases, diff, aug)
+    projection = ComplexMap(ambient, quotient, images)
     return PushoutResult(quotient, projection, projection, True)
+
+
+def _depth_below(bases: Iterable[list[Name]], ceiling: int) -> int:
+    """How deep the deepest name of ``bases`` nests, known to be at most
+    ``ceiling``: the scan stops at the first name that deep."""
+    depth = 0
+    for basis in bases:
+        for g in basis:
+            depth = max(depth, name_depth(g))
+            if depth == ceiling:
+                return depth
+    return depth
 
 
 def pushout(f: ComplexMap, g: ComplexMap) -> PushoutResult:
@@ -331,9 +396,11 @@ def coequalizer(f: ComplexMap, g: ComplexMap) -> PushoutResult:
     """Coequalizer of a parallel pair; both legs are the projection."""
     if f.source != g.source or f.target != g.target:
         raise CompositionError("coequalizer needs a parallel pair of maps")
-    relations = [
-        f.of_gen(c) - g.of_gen(c) for _, c in f.source.all_generators()
-    ]
+    relations = []
+    for deg, c in f.source.all_generators():
+        row = dict(f.of_gen(c)._coeffs)
+        add_scaled(row, g.of_gen(c)._coeffs, -1)
+        relations.append(_adopt(deg, row))
     return quotient_by_relations(f.target, relations)
 
 

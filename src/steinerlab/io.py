@@ -65,15 +65,19 @@ class ValidationError(SteinerlabError):
 # Each writer below returns a JSON value in the ``indent=2`` layout; ``pad``
 # is the indentation of the line the value starts on.
 
+# A complex's generator positions and its names as JSON text, by position.
+_BasisTable = tuple[dict[Name, int], list[str]]
 
-def _basis_table(c: BasedComplex) -> dict[Name, tuple[int, str]]:
+
+def _basis_table(c: BasedComplex) -> _BasisTable:
     """Each generator's position, as :func:`~steinerlab.core._positions`
-    numbers it, and its name as JSON text.
+    numbers it, and every name as JSON text, listed by position.
 
     Bases are sorted by ``name_key``, so within one degree position order is
-    name order.
+    name order, and each degree's names are one run of the list.
     """
-    return {g: (i, encode_basestring(render_name(g))) for g, i in _positions(c).items()}
+    position = _positions(c)
+    return position, [encode_basestring(render_name(g)) for g in position]
 
 
 def _array(items: list[str], pad: str) -> str:
@@ -88,37 +92,44 @@ def _entry(name: str, key: str, value: str, pad: str) -> str:
     return f'{{\n{pad}  "generator": {name},\n{pad}  "{key}": {value}\n{pad}}}'
 
 
-def _terms_text(chain: Chain, table: dict[Name, tuple[int, str]], pad: str) -> str:
+def _terms_text(chain: Chain, table: _BasisTable, pad: str) -> str:
     """``chain`` as a ``terms`` array, in basis order; ``table`` is its complex's."""
+    position, texts = table
     p2 = pad + "  "
     return _array(
         [
-            _entry(name, "coeff", f'"{_int_to_text(coeff)}"', p2)
-            for _, name, coeff in sorted(
-                table[g] + (coeff,) for g, coeff in chain._coeffs.items()
+            _entry(texts[p], "coeff", f'"{_int_to_text(coeff)}"', p2)
+            for p, coeff in sorted(
+                (position[g], coeff) for g, coeff in chain._coeffs.items()
             )
         ],
         pad,
     )
 
 
-def _complex_text(c: BasedComplex, table: dict[Name, tuple[int, str]], pad: str) -> str:
+def _complex_text(c: BasedComplex, table: _BasisTable, pad: str) -> str:
     p2, p4, p6 = pad + "  ", pad + "    ", pad + "      "
-    degrees = sorted(c.degrees)
-    degree_entries = [
-        f'{{\n{p6}"degree": {deg},\n'
-        f'{p6}"generators": {_array([table[g][1] for g in c.degrees[deg]], p6)}\n{p4}}}'
-        for deg in degrees
-    ]
-    diff_entries = [
-        _entry(table[g][1], "terms", _terms_text(c.diff[g], table, p6), p4)
-        for deg in degrees
-        if deg >= 1
-        for g in c.degrees[deg]
-    ]
+    texts = table[1]
+    degree_entries: list[str] = []
+    diff_entries: list[str] = []
+    start = 0
+    for deg in sorted(c.degrees):
+        gens = c.degrees[deg]
+        names = texts[start : start + len(gens)]
+        start += len(gens)
+        degree_entries.append(
+            f'{{\n{p6}"degree": {deg},\n'
+            f'{p6}"generators": {_array(names, p6)}\n{p4}}}'
+        )
+        if deg:
+            diff_entries += [
+                _entry(name, "terms", _terms_text(c.diff[g], table, p6), p4)
+                for g, name in zip(gens, names)
+            ]
+    # the vertices, when there are any, are the first run of ``texts``
     aug_entries = [
-        _entry(table[g][1], "value", f'"{_int_to_text(c.aug[g])}"', p4)
-        for g in c.generators(0)
+        _entry(name, "value", f'"{_int_to_text(c.aug[g])}"', p4)
+        for g, name in zip(c.generators(0), texts)
     ]
     return (
         f'{{\n{p2}"format_version": "{FORMAT_VERSION}",\n{p2}"kind": "complex",\n'
@@ -131,8 +142,8 @@ def _complex_text(c: BasedComplex, table: dict[Name, tuple[int, str]], pad: str)
 def _map_text(f: ComplexMap) -> str:
     source, target = _basis_table(f.source), _basis_table(f.target)
     entries = [
-        _entry(source[g][1], "terms", _terms_text(f.of_gen(g), target, "      "), "    ")
-        for _, g in f.source.all_generators()
+        _entry(name, "terms", _terms_text(f.of_gen(g), target, "      "), "    ")
+        for g, name in zip(f.source._gen_degree, source[1])
     ]
     return (
         f'{{\n  "format_version": "{FORMAT_VERSION}",\n  "kind": "map",\n'

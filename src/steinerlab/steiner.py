@@ -37,7 +37,6 @@ from .core import (
     _adopt,
     _first_failure,
     _position_rows,
-    _positions,
     _Record,
     _set_field,
     _validity,
@@ -100,15 +99,6 @@ def _floor(rows: list[dict[int, int]], i: int, degree: int) -> dict[int, int]:
         if not part:
             break
     return part
-
-
-def _plus_floor(c: BasedComplex, b: Name) -> Chain:
-    """``atom_table(c, b).plus[0]`` on a complex with ``d∘d = 0``: the row
-    walk of :func:`is_steiner`, read back as names."""
-    degree = c.degree_of(b)  # refuses an unknown generator
-    part = _floor(_position_rows(c), _positions(c)[b], degree)
-    names = list(c._gen_degree)
-    return _adopt(0, {names[j]: v for j, v in part.items()})
 
 
 def _unitality(c: BasedComplex, rows: list[dict[int, int]]) -> CheckItem:

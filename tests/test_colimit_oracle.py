@@ -5,6 +5,8 @@ non-based-but-free) must agree with the Smith normal form computed by a
 mature library, and the projection must kill exactly the relation span.
 The heap-driven pivot loop must also pick the same pivots, in the same
 order, as the full rescan it replaced, which is kept here as its oracle.
+Relation sets whose rows are all ``x - y`` are resolved by union-find; the
+eliminator is their oracle.
 """
 
 import random
@@ -12,9 +14,9 @@ from collections import Counter
 
 import pytest
 
-from steinerlab import BasedComplex, Chain
-from steinerlab.colimits import _Eliminator, quotient_by_relations
-from steinerlab.core import add_scaled
+from steinerlab import BasedComplex, Chain, colimits
+from steinerlab.colimits import _Eliminator, _unit_classes, quotient_by_relations
+from steinerlab.core import _positions, add_scaled
 
 try:
     from sympy import Matrix
@@ -200,3 +202,122 @@ def test_large_smith_cases_reach_the_parked_rerun(monkeypatch):
         quotient_by_relations(_ambient(width), [Chain(1, row) for row in rows])
         reruns += len(passes) > len(set(map(id, passes)))
     assert reruns >= 5
+
+
+def _graph_ambient(rng: random.Random) -> BasedComplex:
+    """Vertices ``v.i`` and edges ``e.i``, each edge between two vertices."""
+    vertices = [("v", str(i)) for i in range(rng.randint(2, 40))]
+    edges = [("e", str(i)) for i in range(rng.randint(2, 40))]
+    diff = {}
+    for e in edges:
+        x, y = rng.sample(vertices, 2)
+        diff[e] = Chain(0, {x: 1, y: -1})
+    return BasedComplex({0: vertices, 1: edges}, diff, {v: 1 for v in vertices})
+
+
+def _unit_pair_case(rng: random.Random):
+    """``x - y`` relations in both degrees of a graph: a long chain of
+    identifications, random pairs, and redundant rows (repeats, reversals
+    and the chain's ends), each with a random sign and term order."""
+    ambient = _graph_ambient(rng)
+    relations = []
+    for degree in (0, 1):
+        gens = list(ambient.generators(degree))
+        chain = rng.sample(gens, rng.randint(2, len(gens)))
+        pairs = list(zip(chain, chain[1:]))
+        pairs += [tuple(rng.sample(gens, 2)) for _ in range(rng.randint(0, len(gens)))]
+        pairs += [rng.choice(pairs)[:: rng.choice((1, -1))] for _ in range(rng.randint(1, 5))]
+        pairs.append((chain[-1], chain[0]))
+        for x, y in pairs:
+            sign = rng.choice((1, -1))
+            relations.append(Chain(degree, {x: sign, y: -sign}))
+    rng.shuffle(relations)
+    return ambient, relations
+
+
+def _quotient(monkeypatch, ambient, relations, eliminate=False):
+    """``quotient_by_relations``, forced through the eliminator when
+    ``eliminate``, and the row sets it handed to the eliminator."""
+    handed = []
+
+    class Recorded(_Eliminator):
+        def __init__(self, rows):
+            handed.append([dict(row) for row in rows])
+            super().__init__(rows)
+
+    with monkeypatch.context() as m:
+        m.setattr(colimits, "_Eliminator", Recorded)
+        if eliminate:
+            m.setattr(colimits, "_unit_classes", lambda rows: None)
+        return quotient_by_relations(ambient, relations), handed
+
+
+def _rows(ambient, relations):
+    position = _positions(ambient)
+    return [{position[g]: c for g, c in rel._coeffs.items()} for rel in relations]
+
+
+UNIT_SEEDS = range(3000, 3080)
+
+
+@pytest.mark.parametrize("seed", UNIT_SEEDS)
+def test_unit_relations_by_union_find_match_the_eliminator(seed, monkeypatch):
+    ambient, relations = _unit_pair_case(random.Random(seed))
+    fast, handed = _quotient(monkeypatch, ambient, relations)
+    slow, _ = _quotient(monkeypatch, ambient, relations, eliminate=True)
+    assert handed == []
+    assert (fast.based, fast.reason, fast.torsion_witness) == (True, None, None)
+    assert (slow.based, slow.reason, slow.torsion_witness) == (True, None, None)
+    assert fast.complex.degrees == slow.complex.degrees
+    assert fast.complex == slow.complex
+    assert fast.leg_a.assignment == slow.leg_a.assignment
+    assert fast.leg_b is fast.leg_a
+
+    resolved = {}
+    for degree in (0, 1):
+        elim = _Eliminator([r for r, rel in zip(_rows(ambient, relations), relations)
+                            if rel.degree == degree])
+        assert elim.run() is None
+        resolved.update(elim.resolved())
+    assert _unit_classes(_rows(ambient, relations)) == resolved
+
+
+def test_unit_pair_cases_reach_every_shape():
+    """The seeded cases hold redundant rows, long chains, and ``x - y`` rows
+    in both sign orders, with the lower position listed first and second."""
+    redundant = longest = 0
+    shapes = set()
+    for seed in UNIT_SEEDS:
+        ambient, relations = _unit_pair_case(random.Random(seed))
+        rows = _rows(ambient, relations)
+        resolved = _unit_classes(rows)
+        redundant += len(rows) > len(resolved)
+        classes = Counter(next(iter(terms)) for terms in resolved.values())
+        longest = max(longest, *classes.values())
+        for row in rows:
+            (x, a), (y, _) = row.items()
+            shapes.add((x < y, a))
+    assert redundant == len(UNIT_SEEDS)
+    assert longest >= 30
+    assert shapes == {(True, 1), (True, -1), (False, 1), (False, -1)}
+
+
+def test_a_mixed_row_set_takes_the_eliminator(monkeypatch):
+    g0, g1, g2, g3 = [(f"g{i}",) for i in range(4)]
+    ambient = _ambient(4)
+    pairs = [Chain(1, {g0: 1, g1: -1}), Chain(1, {g2: -1, g1: 1})]
+    _, handed = _quotient(monkeypatch, ambient, pairs)
+    assert handed == []
+    # g0 = g1 = g2 by the pairs and g2 = 2 g3: only g3 survives
+    result, handed = _quotient(monkeypatch, ambient, pairs + [Chain(1, {g3: 2, g2: -1})])
+    assert handed == [_rows(ambient, pairs) + [{3: 2, 2: -1}]]
+    assert result.require_based().degrees == {1: (g3,)}
+    assert [result.leg_a.of_gen(g) for g in (g0, g1, g2, g3)] == [
+        Chain(1, {g3: 2})
+    ] * 3 + [Chain(1, {g3: 1})]
+    # a lone unit term, two terms of one sign, three terms: none is x - y
+    for odd in ({g3: 1}, {g3: 1, g0: 1}, {g3: 1, g0: -1, g2: 1}):
+        rows = _rows(ambient, pairs + [Chain(1, odd)])
+        assert _unit_classes(rows) is None
+        _, handed = _quotient(monkeypatch, ambient, pairs + [Chain(1, odd)])
+        assert handed == [rows]

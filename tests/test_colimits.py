@@ -12,11 +12,15 @@ from steinerlab import (
     disk_inclusion,
     graded_counts,
     identity_map,
+    join_pushout,
+    oriental,
     pushout,
+    suspension_pushout,
     unit,
     validate_complex,
 )
 from steinerlab.colimits import induced_from_coequalizer, quotient_by_relations
+from steinerlab.names import name_key
 
 
 def test_pushout_wedge_of_intervals():
@@ -198,3 +202,62 @@ def test_quotient_reports_the_lowest_failing_degree():
     alone = quotient_by_relations(_two_intervals(), relations[:1])
     assert alone.torsion_witness == (1, 2)
     assert alone.reason == "degree 1: torsion quotient"
+
+
+def _assert_canonical(q: BasedComplex) -> None:
+    """Each basis of ``q`` is in ``name_key`` order, and ``q`` records the
+    depth a complex built from plain lists measures."""
+    plain = BasedComplex({d: list(b) for d, b in q.degrees.items()}, q.diff, q.aug)
+    for basis in q.degrees.values():
+        assert list(basis) == sorted(basis, key=name_key)
+    assert plain == q
+    assert q._depth == plain._depth
+
+
+def _deep_vertices():
+    """Vertices ``0``, ``a.(b.(c))`` (three levels deep), ``m`` and ``z``,
+    in that basis order, and an edge ``e: m -> z``."""
+    zero, deep, m, z, e = ("0",), ("a", ("b", ("c",))), ("m",), ("z",), ("e",)
+    ambient = BasedComplex(
+        {0: [z, m, deep, zero], 1: [e]},
+        {e: Chain(0, {z: 1, m: -1})},
+        {v: 1 for v in (zero, deep, m, z)},
+    )
+    return ambient, zero, deep, m, z, e
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_quotient_depth_is_exact_when_the_deepest_name_goes(mixed):
+    ambient, zero, deep, m, z, e = _deep_vertices()
+    assert ambient._depth == 3
+    # with mixed rows the eliminator runs; without, the union-find
+    extra = [Chain(1, {e: 1})] if mixed else []
+    # deep sorts below m, so it is eliminated
+    gone = quotient_by_relations(ambient, [Chain(0, {deep: 1, m: -1})] + extra)
+    q = gone.require_based()
+    assert deep not in q._gen_degree and gone.leg_a.of_gen(deep) == Chain(0, {m: 1})
+    assert q._depth == 1
+    _assert_canonical(q)
+    # zero sorts below deep, so deep survives
+    kept = quotient_by_relations(ambient, [Chain(0, {zero: -1, deep: 1})] + extra)
+    q = kept.require_based()
+    assert q.generators(0) == (deep, m, z) and q._depth == 3
+    _assert_canonical(q)
+    # no relation: the ambient itself
+    same = quotient_by_relations(ambient, extra).require_based()
+    assert same._depth == 3
+    _assert_canonical(same)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: join_pushout(oriental(2), disk(1)),
+        lambda: suspension_pushout(oriental(3)),
+        lambda: pushout(disk_inclusion(0, 1, "target"), disk_inclusion(0, 1, "source")),
+        lambda: pushout(disk_inclusion(1, 2, "source"), disk_inclusion(1, 2, "target")),
+        lambda: coequalizer(disk_inclusion(0, 1, "source"), disk_inclusion(0, 1, "target")),
+    ],
+)
+def test_quotient_bases_are_canonical(make):
+    _assert_canonical(make().require_based())

@@ -33,9 +33,26 @@ from steinerlab.acceptance import (
     random_steiner_complex,
 )
 from steinerlab.cells import CellTable
-from steinerlab.core import DegreeMismatchError, _d2_failures, _position_rows, coproduct, report
+from steinerlab.core import (
+    DegreeMismatchError,
+    _adopt,
+    _d2_failures,
+    _position_rows,
+    _positions,
+    coproduct,
+    report,
+)
 from steinerlab.names import name_key, parse_name, render_name
-from steinerlab.steiner import atom_table
+from steinerlab.steiner import _floor, atom_table
+
+
+def _plus_floor(c: BasedComplex, b) -> Chain:
+    """``atom_table(c, b).plus[0]`` on a complex with ``d∘d = 0``: the row
+    walk of ``is_steiner``, read back as names."""
+    degree = c.degree_of(b)  # refuses an unknown generator
+    part = _floor(_position_rows(c), _positions(c)[b], degree)
+    names = list(c._gen_degree)
+    return _adopt(0, {names[j]: v for j, v in part.items()})
 
 
 def test_pos_neg_triangle():
@@ -339,8 +356,6 @@ def test_one_sided_walk_matches_two_sided_atoms():
     """Past validation, ``is_steiner`` reads only the plus side of each atom:
     its ``UNITALITY`` item is :func:`unitality_check`'s, and each generator's
     one-sided floor is the plus entry at level zero of its atom table."""
-    from steinerlab.steiner import _plus_floor
-
     non_unital = 0
     for c in _differential_corpus():
         if not validate_complex(c).passed:
@@ -356,8 +371,6 @@ def test_one_sided_walk_matches_two_sided_atoms():
 def test_the_unitality_walk_stops_at_an_empty_part():
     """A generator of degree 10**50 with zero boundary has floor zero: it
     fails ``UNITALITY`` at once, without a walk through every degree."""
-    from steinerlab.steiner import _plus_floor
-
     far = 10**50
     c = BasedComplex({0: [("v",)], far: [("e",)]}, {("e",): Chain(far - 1)}, {("v",): 1})
     assert _plus_floor(c, ("e",)) == Chain(0)
