@@ -27,11 +27,15 @@ from .core import (
     Chain,
     CheckReport,
     ComplexMap,
+    CompositionError,
     SteinerlabError,
-    _first_difference,
+    _adopt,
+    _first_failure,
+    _moved,
     _Record,
     _set_field,
     _sized_memo,
+    _sum_images,
     _summary,
     basis_renaming_map,
     chain_of,
@@ -41,7 +45,7 @@ from .core import (
     sole_generator,
     validate_map,
 )
-from .names import Name
+from .names import Name, render_name
 from .ops import (
     gray_tensor,
     gray_tensor_map,
@@ -78,17 +82,25 @@ class RetractionPair(_Record):
         """The two maps valid, ``retract`` after ``embed`` the identity and
         ``embed`` after ``retract`` idempotent; the last two fail at the first
         generator in basis order whose two images differ.  A retract into
-        another complex than the embed's source raises ``CompositionError``."""
-        idem = compose(self.retract, self.embed)
+        another complex than the embed's source, or out of another than its
+        target, raises ``CompositionError``.  Every composite image is a
+        coefficient dict summed by ``core._sum_images``: the idempotent is one
+        table of chains, and no composite map is built."""
+        embed, retract = self.embed, self.retract
+        if retract.target != embed.source or embed.target != retract.source:
+            raise CompositionError("target of first map differs from source of second")
+        idem = {
+            b: _adopt(deg, _sum_images(retract.assignment[b]._coeffs, embed.assignment))
+            for deg, b in retract.source.all_generators()
+        }
+        not_idempotent = (
+            b for b, image in idem.items() if _sum_images(image._coeffs, idem) != image._coeffs
+        )
         return report(
-            _summary("EMBED_VALID", validate_map(self.embed)),
-            _summary("RETRACT_VALID", validate_map(self.retract)),
-            _first_difference(
-                "COMPOSITE_IDENTITY", compose(self.embed, self.retract), chain_of
-            ),
-            _first_difference(
-                "SPLITTING_IDEMPOTENT", compose(idem, idem), lambda _, x: idem.of_gen(x)
-            ),
+            _summary("EMBED_VALID", validate_map(embed)),
+            _summary("RETRACT_VALID", validate_map(retract)),
+            _first_failure("COMPOSITE_IDENTITY", _moved(embed, retract)),
+            _first_failure("SPLITTING_IDEMPOTENT", map(render_name, not_idempotent)),
         )
 
 

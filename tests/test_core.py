@@ -127,6 +127,20 @@ def test_validate_map_identity_and_negative():
     assert not by_name["POSITIVITY"].passed
 
 
+def test_validate_map_names_where_augmentation_moves():
+    """Sending the vertex 1 of two points to 0 + 1 keeps the chain rule (there
+    is nothing in degree one) and positivity, but ε(0 + 1) = 2, not 1."""
+    points = two_points()
+    doubling = ComplexMap(
+        points, points, {("0",): chain_of(0, ("0",)), ("1",): Chain(0, {("0",): 1, ("1",): 1})}
+    )
+    assert [(i.name, i.passed, i.witness) for i in validate_map(doubling).checks] == [
+        ("CHAIN_RULE", True, None),
+        ("AUG_PRESERVED", False, "1"),
+        ("POSITIVITY", True, None),
+    ]
+
+
 def test_map_degree_mismatch_rejected():
     from steinerlab import DegreeMismatchError
 
@@ -191,6 +205,29 @@ def test_verify_mutually_inverse_detects_one_sided():
     ]
     ident = identity_map(interval())
     assert verify_mutually_inverse(ident, ident).passed
+
+
+def test_verify_mutually_inverse_names_an_edge_not_sent_back():
+    """The globe ``disk(2)`` retracts onto its source edge: the interval goes
+    in along ``s.(b0)``, and both edges come back to ``i``.  Interval, globe,
+    interval is the identity; globe, interval, globe sends the target edge
+    ``s.(b1)`` to ``s.(b0)``, and fixes the vertices and the edge before it."""
+    i, globe = interval(), disk(2)
+    (b0, b1), (lower, upper), (top,) = (globe.generators(d) for d in range(3))
+    embed = ComplexMap(
+        i, globe, {("0",): chain_of(0, b0), ("1",): chain_of(0, b1), ("i",): chain_of(1, lower)}
+    )
+    retract = ComplexMap(
+        globe,
+        i,
+        {b0: chain_of(0, ("0",)), b1: chain_of(0, ("1",)), lower: chain_of(1, ("i",)),
+         upper: chain_of(1, ("i",)), top: Chain(2)},
+    )
+    rep = verify_mutually_inverse(embed, retract)
+    assert [(item.name, item.passed, item.witness) for item in rep.checks] == [
+        ("LEFT_THEN_RIGHT_IS_ID", True, None),
+        ("RIGHT_THEN_LEFT_IS_ID", False, "s.(b1)"),
+    ]
 
 
 def test_generator_cap(monkeypatch):

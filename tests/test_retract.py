@@ -344,6 +344,56 @@ def test_verify_refuses_a_retract_into_another_complex():
         RetractionPair(identity_map(i), namesake).verify()
 
 
+def test_verify_refuses_a_retract_out_of_another_complex():
+    """A retract out of a complex with the embed's target's names but another
+    augmentation is refused too, although its images are the namesakes."""
+    from steinerlab import BasedComplex, ComplexMap, CompositionError
+
+    i = interval()
+    doubled = BasedComplex(dict(i.degrees), dict(i.diff), {("0",): 2, ("1",): 2})
+    namesake = ComplexMap(doubled, i, {g: chain_of(d, g) for d, g in i.all_generators()})
+    with pytest.raises(CompositionError, match="^target of first map differs"):
+        RetractionPair(identity_map(i), namesake).verify()
+
+
+def test_verify_names_a_retract_that_is_not_positive():
+    """On the square, ``0i ↦ i0 + 1i − i1`` and ``ii ↦ 0`` keep the chain
+    rule (both have boundary ``01 − 00``, and ``d(ii)`` goes to zero) and
+    the augmentation, and the map is idempotent; but ``0i`` gets a negative
+    coefficient, and it is the first edge not fixed."""
+    from steinerlab import ComplexMap
+
+    square = cube(2)
+    images = {g: chain_of(d, g) for d, g in square.all_generators()}
+    images[("0i",)] = Chain(1, {("i0",): 1, ("1i",): 1, ("i1",): -1})
+    images[("ii",)] = Chain(2)
+    checks = RetractionPair(identity_map(square), ComplexMap(square, square, images)).verify()
+    assert [(c.name, c.passed, c.witness) for c in checks.checks] == [
+        ("EMBED_VALID", True, None),
+        ("RETRACT_VALID", False, "POSITIVITY at 0i"),
+        ("COMPOSITE_IDENTITY", False, "0i"),
+        ("SPLITTING_IDEMPOTENT", True, None),
+    ]
+
+
+def test_verify_names_where_the_idempotent_is_not():
+    """Swapping the last two of three points is a valid map, but its square is
+    the identity: neither the composite nor the idempotent holds at ``b``, the
+    first point moved."""
+    from steinerlab import BasedComplex, ComplexMap
+
+    a, b, c = ("a",), ("b",), ("c",)
+    points = BasedComplex({0: [a, b, c]}, {}, {a: 1, b: 1, c: 1})
+    swap = ComplexMap(points, points, {a: chain_of(0, a), b: chain_of(0, c), c: chain_of(0, b)})
+    checks = RetractionPair(identity_map(points), swap).verify().checks
+    assert [(c.name, c.passed, c.witness) for c in checks] == [
+        ("EMBED_VALID", True, None),
+        ("RETRACT_VALID", True, None),
+        ("COMPOSITE_IDENTITY", False, "b"),
+        ("SPLITTING_IDEMPOTENT", False, "b"),
+    ]
+
+
 @pytest.mark.parametrize("build", [xi, section_xi, section_ell, section_q_cube])
 def test_negative_dimensions_are_refused(build):
     with pytest.raises(BadDimsError):
