@@ -384,7 +384,7 @@ class BasedComplex:
     is already in that order and skips both.  Every other check runs either way.
     """
 
-    __slots__ = ("degrees", "diff", "aug", "_gen_degree", "_depth", "_rank")
+    __slots__ = ("degrees", "diff", "aug", "_gen_degree", "_depth")
 
     def __init__(
         self,
@@ -459,7 +459,6 @@ class BasedComplex:
         object.__setattr__(self, "aug", aug_map)
         object.__setattr__(self, "_gen_degree", gen_degree)
         object.__setattr__(self, "_depth", depth)
-        object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, *args):  # pragma: no cover - guard
         raise AttributeError("BasedComplex is immutable")
@@ -482,15 +481,6 @@ class BasedComplex:
 
     def has_generator(self, name: Name) -> bool:
         return name in self._gen_degree
-
-    def _ranks(self) -> dict[Name, int]:
-        """Each generator's position in the ``name_key`` order of all
-        generators, every degree together; the dict iterates in that order.
-        Built on first use, once per complex."""
-        if self._rank is None:
-            ordered = sorted(self._gen_degree, key=name_key)
-            object.__setattr__(self, "_rank", {g: i for i, g in enumerate(ordered)})
-        return self._rank
 
     @property
     def top_degree(self) -> int:

@@ -36,7 +36,7 @@ from .core import (
     compose,
     direct_sum,
 )
-from .names import Name, check_depth
+from .names import Name, check_depth, name_key
 
 # -- Gray tensor product -----------------------------------------------------
 
@@ -51,9 +51,10 @@ def _ranked(c: BasedComplex) -> list[tuple[int, Name, list[tuple[int, int]]]]:
     """``(degree, generator, differential)`` in rank order, the differential
     as ``(rank, coeff)`` pairs (none on a vertex).  Pairs ``(x, y)`` taken
     in the order of ``(rank x, rank y)`` are in the name order of
-    ``(tag, x, y)``."""
-    ranks, diff = c._ranks(), c.diff
-    ranked = []
+    ``(tag, x, y)``.  The ranks are the ``name_key`` order of all generators,
+    sorted on each call."""
+    ranks = {g: i for i, g in enumerate(sorted(c._gen_degree, key=name_key))}
+    diff, ranked = c.diff, []
     for g in ranks:
         degree = c._gen_degree[g]
         terms = diff[g]._coeffs.items() if degree else ()

@@ -42,7 +42,6 @@ from .core import (
     compose,
     identity_map,
     report,
-    sole_generator,
     validate_map,
 )
 from .names import Name, render_name
@@ -59,9 +58,9 @@ from .shapes import (
     _cube_word,
     _refuse_cube,
     _refuse_oriental,
+    _wedge,
     cube,
     oriental,
-    wedge_with_legs,
 )
 
 
@@ -359,7 +358,7 @@ def section_ell(n: int) -> RetractionPair:
 
 @lru_cache(maxsize=None)
 def _oriental_wedge(n: int, m: int):
-    return wedge_with_legs(oriental(n), (str(n),), oriental(m), ("0",))
+    return _wedge(oriental(n), (str(n),), oriental(m), ("0",))
 
 
 def _oriental_sum(n: int, m: int) -> BasedComplex:
@@ -377,10 +376,9 @@ def zeta(n: int, m: int) -> ComplexMap:
     target = _oriental_sum(n, m)
     w, left, right = _oriental_wedge(n, m)
     assignment: dict[Name, Chain] = {}
-    for leg, shift in ((left, 0), (right, n)):
-        for deg, g in leg.source.all_generators():
-            image = chain_of(deg, _shift_subset(g, shift))
-            assignment[sole_generator(leg.of_gen(g))] = image
+    for table, shift in ((left, 0), (right, n)):
+        for g, name in table.items():
+            assignment[name] = chain_of(len(g) - 1, _shift_subset(g, shift))
     return ComplexMap(w, target, assignment)
 
 
@@ -399,32 +397,34 @@ def theta_left_inverse(n: int, m: int) -> ComplexMap:
         verts = [int(v) for v in g]
         below = [v for v in verts if v < n]
         above = [v for v in verts if v > n]
-        parts = []
+        names = []
         if not above:
-            parts.append(left.of_gen(g))
+            names.append(left[g])
         elif not below:
-            parts.append(right.of_gen(_shift_subset(g, -n)))
+            names.append(right[_shift_subset(g, -n)])
         elif n not in verts:
             if len(above) == 1:
-                parts.append(left.of_gen(tuple(str(v) for v in below + [n])))
+                names.append(left[tuple(str(v) for v in below + [n])])
             if len(below) == 1:
-                parts.append(right.of_gen(tuple(str(v - n) for v in [n] + above)))
-        assignment[g] = sum(parts, Chain(deg))
+                names.append(right[tuple(str(v - n) for v in [n] + above)])
+        assignment[g] = _adopt(deg, dict.fromkeys(names, 1))
     return ComplexMap(source, w, assignment)
 
 
 # -- retracts of theta objects ----------------------------------------------------
 
 
-def _wedge_map(lam1, f1, mu1, lam2, f2, mu2) -> ComplexMap:
-    """The map out of the wedge with legs ``lam1``, ``lam2``: ``f1`` then
-    ``mu1`` on the left part, ``f2`` then ``mu2`` on the right; the left
-    part gives the basepoint's image."""
+def _wedge_map(source, target, lam1, f1, mu1, lam2, f2, mu2) -> ComplexMap:
+    """The map between the wedges ``source`` and ``target`` whose name
+    tables are ``lam1``, ``lam2`` and ``mu1``, ``mu2``: ``f1`` then ``mu1``
+    on the left part, ``f2`` then ``mu2`` on the right; the left part gives
+    the basepoint's image."""
     assignment: dict[Name, Chain] = {}
     for lam, f, mu in ((lam2, f2, mu2), (lam1, f1, mu1)):
-        for _, g in lam.source.all_generators():
-            assignment[sole_generator(lam.of_gen(g))] = mu(f.of_gen(g))
-    return ComplexMap(lam1.target, mu1.target, assignment)
+        for g, image in f.assignment.items():
+            terms = image._coeffs.items()
+            assignment[lam[g]] = _adopt(image.degree, {mu[h]: k for h, k in terms})
+    return ComplexMap(source, target, assignment)
 
 
 def _wedge_retracts(first, second):
@@ -433,15 +433,13 @@ def _wedge_retracts(first, second):
     l1, r1, e1, rt1 = first
     l2, r2, e2, rt2 = second
     n1, n2 = e1.target.top_degree, e2.target.top_degree
-    _, lam1, lam2 = wedge_with_legs(e1.source, r1, e2.source, l2)
-    _, mu1, mu2 = _oriental_wedge(n1, n2)
-    wedge_embed = _wedge_map(lam1, e1, mu1, lam2, e2, mu2)
-    wedge_retract = _wedge_map(mu1, rt1, lam1, mu2, rt2, lam2)
+    small, lam1, lam2 = _wedge(e1.source, r1, e2.source, l2)
+    big, mu1, mu2 = _oriental_wedge(n1, n2)
+    wedge_embed = _wedge_map(small, big, lam1, e1, mu1, lam2, e2, mu2)
+    wedge_retract = _wedge_map(big, small, mu1, rt1, lam1, mu2, rt2, lam2)
     new_embed = compose(wedge_embed, zeta(n1, n2))
     new_retract = compose(theta_left_inverse(n1, n2), wedge_retract)
-    left = sole_generator(lam1.of_gen(l1))
-    right = sole_generator(lam2.of_gen(r2))
-    return left, right, new_embed, new_retract
+    return lam1[l1], lam2[r2], new_embed, new_retract
 
 
 def _theta_retract(dims: list[int], glues: list[int]):

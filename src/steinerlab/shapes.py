@@ -48,28 +48,6 @@ from .names import MAX_NAME_DEPTH, Name, check_depth, render_name, shown
 # them where they run, so that building a cube, oriental, disk, theta or
 # wedge loads none.
 
-__all__ = [
-    "unit",
-    "zero",
-    "interval",
-    "disk",
-    "boundary_disk",
-    "cube",
-    "oriental",
-    "oriental_via_join",
-    "antioriental",
-    "disk_inclusion",
-    "ThetaSpec",
-    "theta",
-    "wedge",
-    "wedge_with_legs",
-    "truncate_top",
-    "boundary_decomposition_check",
-    "top_cell_decomposition_check",
-    "shape_library",
-    "random_theta_spec",
-]
-
 
 class BadDimsError(SteinerlabError):
     code = "BAD_DIMS"
@@ -367,14 +345,11 @@ def theta(spec: ThetaSpec) -> BasedComplex:
     return _glued(parts)
 
 
-def wedge_with_legs(
+def _wedge(
     a: BasedComplex, marked_a: Name, b: BasedComplex, marked_b: Name
-) -> tuple[BasedComplex, ComplexMap, ComplexMap]:
-    """Glue two complexes at marked vertices; return the complex and legs.
-
-    Generators are renamed ``wl.x`` / ``wr.y`` with the shared basepoint
-    ``w0``.
-    """
+) -> tuple[BasedComplex, dict[Name, Name], dict[Name, Name]]:
+    """The wedge of :func:`wedge_with_legs` with, in place of its legs, the
+    tables naming each generator of ``a`` and of ``b`` in it."""
     for c, p in ((a, marked_a), (b, marked_b)):
         if not c.has_generator(p) or c.degree_of(p) != 0 or c.aug[p] != 1:
             raise BadBasepointError(f"marked generator must be a vertex of augmentation 1")
@@ -383,11 +358,22 @@ def wedge_with_legs(
         table = {x: (tag, x) for _, x in c.all_generators()}
         table[p] = ("w0",)
         tables.append(table)
-    w = _glued([(a, tables[0]), (b, tables[1])])
+    return _glued([(a, tables[0]), (b, tables[1])]), tables[0], tables[1]
+
+
+def wedge_with_legs(
+    a: BasedComplex, marked_a: Name, b: BasedComplex, marked_b: Name
+) -> tuple[BasedComplex, ComplexMap, ComplexMap]:
+    """Glue two complexes at marked vertices; return the complex and legs.
+
+    Generators are renamed ``wl.x`` / ``wr.y`` with the shared basepoint
+    ``w0``.
+    """
+    w, left, right = _wedge(a, marked_a, b, marked_b)
     return (
         w,
-        basis_renaming_map(a, w, tables[0].__getitem__),
-        basis_renaming_map(b, w, tables[1].__getitem__),
+        basis_renaming_map(a, w, left.__getitem__),
+        basis_renaming_map(b, w, right.__getitem__),
     )
 
 
@@ -395,17 +381,18 @@ def wedge(
     a: BasedComplex, marked_a: Name, b: BasedComplex, marked_b: Name
 ) -> BasedComplex:
     """Pushout identifying the two marked vertices."""
-    return wedge_with_legs(a, marked_a, b, marked_b)[0]
+    return _wedge(a, marked_a, b, marked_b)[0]
 
 
 def truncate_top(c: BasedComplex) -> BasedComplex:
-    """Drop the top-degree generators and their differentials."""
+    """Drop the top-degree generators and their differentials, or their
+    augmentations when the top degree is 0."""
     if not c.degrees:
         raise EmptyComplexError("cannot truncate the empty complex")
     top = c.top_degree
     degrees = {deg: gens for deg, gens in c.degrees.items() if deg != top}
     diff = {g: ch for g, ch in c.diff.items() if c.degree_of(g) != top}
-    return BasedComplex(degrees, diff, c.aug)
+    return BasedComplex(degrees, diff, c.aug if top else {})
 
 
 # -- boundary decompositions --------------------------------------------------

@@ -54,9 +54,11 @@ def golden_values() -> dict:
         section_q_cube,
         section_xi,
         theta,
+        theta_left_inverse,
         theta_retract_into_oriental,
         wedge_with_legs,
         zero,
+        zeta,
     )
 
     big = 10**5000
@@ -71,6 +73,8 @@ def golden_values() -> dict:
     values["wedge oriental2.2 cube2.00"] = w
     values["wedge oriental2.2 cube2.00 left leg"] = left
     values["wedge oriental2.2 cube2.00 right leg"] = right
+    values["zeta(2, 3)"] = zeta(2, 3)
+    values["theta_left_inverse(2, 3)"] = theta_left_inverse(2, 3)
     for dims, glue in (
         ((2, 1, 2), (1, 1)),
         ((1, 1, 1), (0, 0)),

@@ -32,6 +32,7 @@ from steinerlab import (
     theta,
     top_cell_decomposition_check,
     truncate_top,
+    two_points,
     unit,
     validate_complex,
     validate_map,
@@ -217,6 +218,20 @@ def test_wedge_matches_the_pushout_oracle():
             assert wedge_with_legs(a, x, b, y) == wedge_pushout(a, x, b, y), (x, y)
 
 
+def test_wedge_builds_no_legs(monkeypatch):
+    """``wedge`` glues the two name tables and makes no leg map."""
+    from steinerlab import shapes
+
+    args = (oriental(2), ("2",), cube(2), ("00",))
+    expected = wedge_with_legs(*args)[0]
+
+    def refuse(*args):
+        raise AssertionError("built a leg")
+
+    monkeypatch.setattr(shapes, "basis_renaming_map", refuse)
+    assert wedge(*args) == expected
+
+
 def test_truncate_top():
     for n in range(1, 5):
         assert truncate_top(disk(n)) == boundary_disk(n)
@@ -225,6 +240,9 @@ def test_truncate_top():
             k: comb(n + 1, k + 1) for k in range(n)
         }
     assert graded_counts(truncate_top(cube(2))) == {0: 4, 1: 4}
+    # a complex of vertices loses its augmentations with them
+    for c in (unit(), oriental(0), two_points()):
+        assert truncate_top(c) == zero()
     with pytest.raises(EmptyComplexError):
         truncate_top(zero())
 
