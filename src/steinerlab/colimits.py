@@ -24,7 +24,8 @@ to its highest one, which is the survivor the pivot rule keeps (see
 union-find's oracle in the tests.  The survivors are a subsequence of the
 ambient's canonical bases, so they are handed to ``BasedComplex`` as
 canonical bases with their exact depth, and each projection image is read
-straight off the resolved table.
+straight off the resolved table; ``core._sum_images`` sums a survivor's
+differential over those images, as it does for ``d`` and every map.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .core import (
     _positions,
     _Record,
     _set_field,
+    _sum_images,
     _tagged_union,
     add_scaled,
 )
@@ -324,15 +326,7 @@ def quotient_by_relations(ambient: BasedComplex, relations: list[Chain]) -> Push
             resolved.update(elim.resolved())
 
     names = list(ambient._gen_degree)
-
-    def project(chain: Chain) -> Chain:
-        out: dict[int, int] = {}
-        for name, coeff in chain._coeffs.items():
-            p = position[name]
-            add_scaled(out, resolved.get(p, {p: 1}), coeff)
-        return _adopt(chain.degree, {names[p]: c for p, c in out.items()})
-
-    # survivors keep the ambient's basis order, so each basis stays canonical
+    # in the ambient's order, bases stay canonical and each d's images are there
     degrees: dict[int, list[Name]] = {}
     diff: dict[Name, Chain] = {}
     aug: dict[Name, int] = {}
@@ -345,7 +339,7 @@ def quotient_by_relations(ambient: BasedComplex, relations: list[Chain]) -> Push
         images[g] = _adopt(degree, {g: 1})
         degrees.setdefault(degree, []).append(g)
         if degree:
-            diff[g] = project(ambient.diff[g])
+            diff[g] = _adopt(degree - 1, _sum_images(ambient.diff[g]._coeffs, images))
         else:
             aug[g] = ambient.aug[g]
     depth = ambient._depth

@@ -262,17 +262,14 @@ def _sum_images(terms: Mapping[Name, int], images: Mapping[Name, Chain]) -> dict
     return total
 
 
-def _extend_linearly(chain: Chain, images: Mapping[Name, Chain], degree: int) -> Chain:
-    """The sum of ``coeff * images[name]`` over ``chain``, a chain of ``degree``."""
-    total: dict[Name, int] = {}
-    for name, coeff in chain._coeffs.items():
-        image = images[name]
-        if image.degree != degree:
-            raise DegreeMismatchError(
-                f"cannot add chains of degree {degree} and {image.degree}"
-            )
-        add_scaled(total, image._coeffs, coeff)
-    return _adopt(degree, total)
+def _refuse_strays(chain: Chain, gen_degree: Mapping[Name, int]) -> None:
+    """Refuse ``chain`` at its least term (by ``name_key``) that is not a
+    generator of its degree in ``gen_degree``, a complex's ``_gen_degree``."""
+    degree = chain.degree
+    stray = [g for g in chain._coeffs if gen_degree.get(g) != degree]
+    if stray:
+        term, degree = shown(min(stray, key=name_key)), shown(degree)
+        raise MalformedError(f"chain term {term} is not a degree {degree} generator")
 
 
 class _Record:
@@ -376,7 +373,9 @@ class BasedComplex:
     ``degrees`` maps each non-empty degree to its canonically sorted basis,
     ``diff`` gives the differential of every generator of positive degree
     (a missing one is refused; a zero one is the zero chain),
-    ``aug`` the augmentation of every degree-zero generator.  Construction
+    ``aug`` the augmentation of every degree-zero generator.  ``degrees``,
+    ``_gen_degree`` and :meth:`all_generators` share one order, built once:
+    ascending degree, then basis; readers take it unsorted.  Construction
     checks structural well-formedness only; run :func:`validate_complex`
     for the chain-complex axioms.  A basis given as a plain iterable has its
     names checked and is sorted by ``name_key``; one handed over by a derived
@@ -469,9 +468,8 @@ class BasedComplex:
         return self.degrees.get(degree, ())
 
     def all_generators(self) -> Iterator[tuple[int, Name]]:
-        for degree in sorted(self.degrees):
-            for g in self.degrees[degree]:
-                yield degree, g
+        for g, degree in self._gen_degree.items():
+            yield degree, g
 
     def degree_of(self, name: Name) -> int:
         try:
@@ -490,17 +488,19 @@ class BasedComplex:
 
     @property
     def size(self) -> int:
-        return sum(len(gens) for gens in self.degrees.values())
+        return len(self._gen_degree)
 
     def d(self, chain: Chain) -> Chain:
-        """Differential, extended linearly; degree-0 chains are rejected."""
+        """Differential, extended linearly; degree-0 chains and strays are refused."""
         if chain.degree == 0:
             raise DegreeMismatchError("no differential in degree 0", code="DEGREE_ZERO")
-        return _extend_linearly(chain, self.diff, chain.degree - 1)
+        _refuse_strays(chain, self._gen_degree)
+        return _adopt(chain.degree - 1, _sum_images(chain._coeffs, self.diff))
 
     def eps(self, chain: Chain) -> int:
         if chain.degree != 0:
             raise DegreeMismatchError("augmentation applies to degree-0 chains")
+        _refuse_strays(chain, self._gen_degree)
         return sum(coeff * self.aug[name] for name, coeff in chain._coeffs.items())
 
     def renamed(self, rename: Callable[[Name], Name]) -> "BasedComplex":
@@ -521,10 +521,10 @@ class BasedComplex:
         )
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.degrees.items())))
+        return hash(tuple(self.degrees.items()))
 
     def __repr__(self) -> str:
-        counts = ", ".join(f"{d}:{len(g)}" for d, g in sorted(self.degrees.items()))
+        counts = ", ".join(f"{d}:{len(g)}" for d, g in self.degrees.items())
         return f"<BasedComplex {{{counts}}}>"
 
 
@@ -592,7 +592,8 @@ class ComplexMap:
         raise AttributeError("ComplexMap is immutable")
 
     def __call__(self, chain: Chain) -> Chain:
-        return _extend_linearly(chain, self.assignment, chain.degree)
+        _refuse_strays(chain, self.source._gen_degree)
+        return _adopt(chain.degree, _sum_images(chain._coeffs, self.assignment))
 
     def of_gen(self, name: Name) -> Chain:
         return self.assignment[name]
@@ -772,7 +773,7 @@ def direct_sum(a: BasedComplex, b: BasedComplex) -> BasedComplex:
 
 
 def graded_counts(c: BasedComplex) -> dict[int, int]:
-    return {deg: len(gens) for deg, gens in sorted(c.degrees.items())}
+    return {deg: len(gens) for deg, gens in c.degrees.items()}
 
 
 def equal_presentation(a: BasedComplex, b: BasedComplex) -> bool:
@@ -815,13 +816,19 @@ def sole_generator(chain: Chain) -> Name:
     return items[0][0]
 
 
+def _bijection(f: ComplexMap) -> dict[Name, Name]:
+    """The generator each source generator goes to, for ``f`` sending the
+    bases bijectively, generator to generator; else :class:`MalformedError`."""
+    table = {g: sole_generator(chain) for g, chain in f.assignment.items()}
+    if len(set(table.values())) != f.target.size or len(table) != f.target.size:
+        raise MalformedError("map is not bijective on bases")
+    return table
+
+
 def invert_basis_bijection(f: ComplexMap) -> ComplexMap:
     """Invert a map that sends each generator to a single generator with
     coefficient one.  Raises if ``f`` is not of that shape or not bijective."""
-    table = {g: sole_generator(f.of_gen(g)) for _, g in f.source.all_generators()}
-    if len(set(table.values())) != f.target.size or f.source.size != f.target.size:
-        raise MalformedError("map is not bijective on bases")
-    inverse = {h: chain_of(f.target.degree_of(h), g) for g, h in table.items()}
+    inverse = {h: chain_of(f.target.degree_of(h), g) for g, h in _bijection(f).items()}
     return ComplexMap(f.target, f.source, inverse)
 
 

@@ -113,8 +113,7 @@ def _complex_text(c: BasedComplex, table: _BasisTable, pad: str) -> str:
     degree_entries: list[str] = []
     diff_entries: list[str] = []
     start = 0
-    for deg in sorted(c.degrees):
-        gens = c.degrees[deg]
+    for deg, gens in c.degrees.items():
         names = texts[start : start + len(gens)]
         start += len(gens)
         degree_entries.append(

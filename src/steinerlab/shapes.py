@@ -27,6 +27,7 @@ from .core import (
     _Canonical,
     _Record,
     _adopt,
+    _bijection,
     _check_size_at_least,
     _first_failure,
     _glued,
@@ -38,7 +39,6 @@ from .core import (
     check_size,
     coproduct,
     report,
-    sole_generator,
     validate_complex,
     validate_map,
 )
@@ -454,12 +454,11 @@ def _induced_iso_items(
     """INDUCED_ISO, then, if it holds, EQUALS_<label>: the colimit renamed
     along the induced basis bijection is exactly ``expected``."""
     try:
-        table = {g: sole_generator(chain) for g, chain in induced.assignment.items()}
-        iso_ok = len(set(table.values())) == len(table) == induced.target.size
+        table = _bijection(induced)
     except MalformedError:
-        iso_ok = False
-    items = [CheckItem(f"{prefix}:INDUCED_ISO", iso_ok, None)]
-    if iso_ok:
+        table = None
+    items = [CheckItem(f"{prefix}:INDUCED_ISO", table is not None, None)]
+    if table is not None:
         renamed = _glued([(induced.source, table)])
         items.append(CheckItem(f"{prefix}:EQUALS_{label}", renamed == expected, None))
     return items

@@ -25,6 +25,7 @@ from steinerlab import (
     dual_op,
     emit,
     equal_presentation,
+    graded_counts,
     gray_tensor,
     interval,
     join,
@@ -62,6 +63,9 @@ def assert_canonical(c: BasedComplex) -> None:
     for gens in c.degrees.values():
         assert type(gens) is tuple
         assert list(gens) == sorted(gens, key=name_key)
+    # the one basis order: degrees ascending, then each basis as built
+    assert list(c.degrees) == sorted(c.degrees)
+    assert list(c.all_generators()) == [(d, g) for d in c.degrees for g in c.degrees[d]]
     generators = [g for _, g in c.all_generators()]
     assert c._depth == max((name_depth(g) for g in generators), default=0)
     for chain in c.diff.values():
@@ -263,6 +267,21 @@ def test_derived_constructors_key_every_chain_by_basis_objects():
             for build in (gray_tensor, join, antijoin):
                 assert_keys_are_basis_objects(build(a, b))
             assert_keys_are_basis_objects(coproduct([("x", a), ("y", b)]))
+
+
+def test_degrees_given_in_descending_order_are_built_ascending():
+    """``repr``, ``hash`` and ``graded_counts`` read ``degrees`` unsorted, so
+    a complex given top degree first must come out as one given bottom first."""
+    c = cube(2)
+    given = {deg: list(c.degrees[deg]) for deg in sorted(c.degrees, reverse=True)}
+    assert list(given) == [2, 1, 0]
+    built = BasedComplex(given, dict(c.diff), dict(c.aug))
+    assert_canonical(built)
+    assert built == c
+    assert (repr(built), hash(built), graded_counts(built)) == (
+        repr(c), hash(c), graded_counts(c)
+    )
+    assert repr(built) == "<BasedComplex {0:4, 1:4, 2:1}>"
 
 
 def test_cubes_and_orientals_are_canonical():

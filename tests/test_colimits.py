@@ -6,12 +6,14 @@ from steinerlab import (
     ComplexMap,
     CompositionError,
     MalformedError,
+    chain_of,
     coequalizer,
     compose,
     disk,
     disk_inclusion,
     graded_counts,
     identity_map,
+    interval,
     join_pushout,
     oriental,
     pushout,
@@ -42,6 +44,18 @@ def test_pushout_of_identities_is_unit():
     c = result.require_based()
     assert graded_counts(c) == {0: 1}
     assert result.leg_a == result.leg_b
+
+
+def test_pushout_with_torsion_is_not_based():
+    """u -> 2*0 in the interval against u -> 2*u: 2*0 = 4*u leaves torsion of
+    order 2 in degree 0, so there is no complex and neither leg."""
+    f = ComplexMap(unit(), interval(), {("u",): chain_of(0, ("0",), 2)})
+    g = ComplexMap(unit(), unit(), {("u",): chain_of(0, ("u",), 2)})
+    result = pushout(f, g)
+    assert (result.based, result.torsion_witness, result.reason) == (
+        False, (0, 2), "degree 0: torsion quotient"
+    )
+    assert result.complex is None and result.leg_a is None and result.leg_b is None
 
 
 def test_pushout_source_mismatch():

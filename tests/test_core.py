@@ -32,6 +32,7 @@ from steinerlab import (
 from steinerlab.core import SizeLimitError, SteinerlabError, sole_generator
 from steinerlab.ops import cube_selfduality
 from steinerlab.retract import q2, s2
+from steinerlab.steiner import pos_neg_parts
 
 
 def test_chain_arithmetic_is_exact_and_sparse():
@@ -288,6 +289,7 @@ def test_summary_fails_at_the_first_failing_item_of_the_first_failing_report():
 
 
 _A, _E = ("a",), ("e",)
+_NOPE = Chain(1, {("nope",): 1})
 
 
 @pytest.mark.parametrize(
@@ -316,13 +318,26 @@ _A, _E = ("a",), ("e",)
         (lambda: unit().d(Chain(0)), "DEGREE_ZERO", "no differential in degree 0"),
         (lambda: interval().eps(chain_of(1, ("i",))), "DEGREE_MISMATCH",
          "augmentation applies to degree-0 chains"),
+        (lambda: cube(2).d(_NOPE), "MALFORMED", "chain term nope is not a degree 1 generator"),
+        (lambda: identity_map(cube(2))(_NOPE), "MALFORMED",
+         "chain term nope is not a degree 1 generator"),
+        (lambda: cube(2).eps(Chain(0, {("nope",): 1})), "MALFORMED",
+         "chain term nope is not a degree 0 generator"),
+        (lambda: pos_neg_parts(cube(2), _NOPE), "MALFORMED",
+         "chain term nope is not a degree 1 generator"),
+        (lambda: cube(2).d(Chain(1, {("00",): 1})), "MALFORMED",
+         "chain term 00 is not a degree 1 generator"),
+        (lambda: cube(2).d(Chain(2, {("i0",): 1})), "MALFORMED",
+         "chain term i0 is not a degree 2 generator"),
     ],
     ids=[
         "negative degree", "duplicate generator", "differential on unknown",
         "differential on vertex", "differential degree", "missing augmentation",
         "augmentation on non-vertex", "missing assignment", "bad target term",
         "non-injective renaming", "negative chain degree", "unknown degree_of",
-        "d in degree 0", "eps off degree 0",
+        "d in degree 0", "eps off degree 0", "d of a stray term", "map of a stray term",
+        "eps of a stray term", "parts of a stray term", "d of a vertex in degree 1",
+        "d of an edge in degree 2",
     ],
 )
 def test_structural_refusals_are_coded(build, code, message):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -376,6 +377,21 @@ def test_cli_gen_info_round_trip(tmp_path, capsys):
     assert main(["info", str(out)]) == 0
     text = capsys.readouterr().out
     assert "{0: 8, 1: 12, 2: 6, 3: 1}" in text
+
+
+def test_cli_info_reads_a_complex_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(emit(cube(2))))
+    assert main(["info", "-"]) == 0
+    assert capsys.readouterr().out.startswith("graded counts: {0: 4, 1: 4, 2: 1}\n")
+
+
+def test_cli_info_refuses_a_map_document(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("s2.json").write_text(emit(s2()))
+    assert main(["info", "s2.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: 's2.json' does not contain a complex document\n"
 
 
 def test_cli_op_pipeline(tmp_path, capsys):

@@ -333,12 +333,12 @@ def test_decomposition_checks_stop_at_a_colimit_that_is_not_based(monkeypatch):
 def test_decomposition_checks_report_an_induced_map_that_does_not_decode(monkeypatch):
     """An induced image that is not one generator with coefficient 1 fails
     INDUCED_ISO, and the comparison with the expected shape is not made."""
-    from steinerlab import shapes
+    from steinerlab import core
 
     def refuse(chain):
         raise MalformedError("not one generator with coefficient 1")
 
-    monkeypatch.setattr(shapes, "sole_generator", refuse)
+    monkeypatch.setattr(core, "sole_generator", refuse)
     assert _items(boundary_decomposition_check("cube", 2)) == [
         ("cube:2:COLIMIT_BASED", True, None),
         ("cube:2:INDUCED_ISO", False, None),
