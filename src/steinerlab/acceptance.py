@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from math import comb
 
+from . import colimits  # noqa: F401 - the battery loads every library module
 from .basic import interval, unit
 from .cells import (
     _glues,

@@ -25,13 +25,17 @@ union-find's oracle in the tests.  The survivors are a subsequence of the
 ambient's canonical bases, so they are handed to ``BasedComplex`` as
 canonical bases with their exact depth, and each projection image is read
 straight off the resolved table; ``core._sum_images`` sums a survivor's
-differential over those images, as it does for ``d`` and every map.
+differential over those images, as it does for ``d`` and every map.  The
+projection and the pushout legs are derived from checked maps, so they are
+adopted (``core._adopt_map``) without a per-term check.  Renamings carry
+their name tables (``ComplexMap._table``): a coequalizer of two reads each
+row ``x - y`` off them, and a renaming factors through it as a renaming.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     BasedComplex,
@@ -41,15 +45,19 @@ from .core import (
     MalformedError,
     SteinerlabError,
     _adopt,
+    _adopt_map,
     _Canonical,
+    _depth_below,
+    _least,
     _positions,
     _Record,
+    _renaming,
     _set_field,
     _sum_images,
     _tagged_union,
     add_scaled,
 )
-from .names import Name, name_depth, name_key, render_name
+from .names import Name, render_name
 
 
 class NonBasedPushoutError(SteinerlabError):
@@ -305,7 +313,7 @@ def quotient_by_relations(ambient: BasedComplex, relations: list[Chain]) -> Push
         stray = [g for g in rel._coeffs if degree_of(g) != rel.degree]
         if stray:
             raise MalformedError(
-                f"relation term {render_name(min(stray, key=name_key))} is not a"
+                f"relation term {render_name(_least(stray))} is not a"
                 f" degree {rel.degree} generator of the ambient complex"
             )
         if rel._coeffs:
@@ -347,20 +355,8 @@ def quotient_by_relations(ambient: BasedComplex, relations: list[Chain]) -> Push
         depth = _depth_below(degrees.values(), depth)
     bases = {degree: _Canonical(gens, depth) for degree, gens in degrees.items()}
     quotient = BasedComplex(bases, diff, aug)
-    projection = ComplexMap(ambient, quotient, images)
+    projection = _adopt_map(ambient, quotient, images)
     return PushoutResult(quotient, projection, projection, True)
-
-
-def _depth_below(bases: Iterable[list[Name]], ceiling: int) -> int:
-    """How deep the deepest name of ``bases`` nests, known to be at most
-    ``ceiling``: the scan stops at the first name that deep."""
-    depth = 0
-    for basis in bases:
-        for g in basis:
-            depth = max(depth, name_depth(g))
-            if depth == ceiling:
-                return depth
-    return depth
 
 
 def pushout(f: ComplexMap, g: ComplexMap) -> PushoutResult:
@@ -381,7 +377,7 @@ def pushout(f: ComplexMap, g: ComplexMap) -> PushoutResult:
 
     def leg(part: BasedComplex, table: dict[Name, Name]) -> ComplexMap:
         images = {x: projection.of_gen(table[x]) for x in part._gen_degree}
-        return ComplexMap(part, quotient, images)
+        return _adopt_map(part, quotient, images)
 
     return PushoutResult(quotient, leg(f.target, left), leg(g.target, right), True)
 
@@ -391,9 +387,14 @@ def coequalizer(f: ComplexMap, g: ComplexMap) -> PushoutResult:
     if f.source != g.source or f.target != g.target:
         raise CompositionError("coequalizer needs a parallel pair of maps")
     relations = []
+    ft, gt = f._table, g._table
     for deg, c in f.source.all_generators():
-        row = dict(f.of_gen(c)._coeffs)
-        add_scaled(row, g.of_gen(c)._coeffs, -1)
+        if ft is not None and gt is not None:  # two renamings: rows x - y
+            x, y = ft[c], gt[c]
+            row = {x: 1, y: -1} if x != y else {}
+        else:
+            row = dict(f.of_gen(c)._coeffs)
+            add_scaled(row, g.of_gen(c)._coeffs, -1)
         relations.append(_adopt(deg, row))
     return quotient_by_relations(f.target, relations)
 
@@ -413,8 +414,11 @@ def induced_from_pushout(
 
 
 def induced_from_coequalizer(result: PushoutResult, w: ComplexMap) -> ComplexMap:
-    """Factor a coequalizing map ``w`` through a based coequalizer."""
+    """Factor a coequalizing map ``w`` through a based coequalizer; a
+    renaming ``w`` factors as a renaming."""
     quotient = result.require_based()
+    if w._table is not None:
+        return _renaming(quotient, w.target, {g: w._table[g] for g in quotient._gen_degree})
     return ComplexMap(
         quotient,
         w.target,

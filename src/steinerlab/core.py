@@ -268,8 +268,26 @@ def _refuse_strays(chain: Chain, gen_degree: Mapping[Name, int]) -> None:
     degree = chain.degree
     stray = [g for g in chain._coeffs if gen_degree.get(g) != degree]
     if stray:
-        term, degree = shown(min(stray, key=name_key)), shown(degree)
+        term, degree = shown(_least(stray)), shown(degree)
         raise MalformedError(f"chain term {term} is not a degree {degree} generator")
+
+
+def _least(stray: Iterable[object]) -> Name:
+    """The ``name_key``-least of the stray keys a refusal names; a key that
+    is not a name is refused first, by :func:`check_name`."""
+    return min(map(check_name, stray), key=name_key)
+
+
+def _depth_below(bases: Iterable[Iterable[Name]], ceiling: int) -> int:
+    """How deep the deepest name of ``bases`` nests, known to be at most
+    ``ceiling``: the scan stops at the first name that deep."""
+    depth = 0
+    for basis in bases:
+        for g in basis:
+            depth = max(depth, name_depth(g))
+            if depth == ceiling:
+                return depth
+    return depth
 
 
 class _Record:
@@ -431,8 +449,7 @@ class BasedComplex:
             stray = [h for h in chain._coeffs if gen_degree.get(h) != degree - 1]
             if stray:
                 raise MalformedError(
-                    f"differential of {shown(g)} has stray term"
-                    f" {shown(min(stray, key=name_key))}"
+                    f"differential of {shown(g)} has stray term {shown(_least(stray))}"
                 )
             diff_map[g] = chain
         for degree, gens in deg_map.items():
@@ -549,9 +566,12 @@ def _glued(parts: Iterable[tuple[BasedComplex, Mapping[Name, Name]]]) -> BasedCo
 
 
 class ComplexMap:
-    """Degreewise integer map between based complexes, given on generators."""
+    """Degreewise integer map between based complexes, given on generators.
+    ``_table`` is ``None`` except on a :func:`_renaming`, whose name table it
+    keeps for readers that skip its one-term chains; equality, hash, repr
+    and ``assignment`` ignore it."""
 
-    __slots__ = ("source", "target", "assignment")
+    __slots__ = ("source", "target", "assignment", "_table")
 
     def __init__(
         self,
@@ -573,20 +593,15 @@ class ComplexMap:
                     )
                 stray = [h for h in chain._coeffs if target_degree(h) != degree]
                 if stray:
-                    raise MalformedError(
-                        f"assignment of {shown(g)} has stray term"
-                        f" {shown(min(stray, key=name_key))}"
-                    )
+                    _refuse_image(g, stray)
                 asg[g] = chain
         if len(assignment) > len(asg):
-            extra = [check_name(g) for g in assignment if g not in asg]
-            raise MalformedError(
-                "assignment for unknown generator"
-                f" {shown(min(extra, key=name_key))}"
-            )
+            extra = _least(g for g in assignment if g not in asg)
+            raise MalformedError(f"assignment for unknown generator {shown(extra)}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "assignment", asg)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, *args):  # pragma: no cover - guard
         raise AttributeError("ComplexMap is immutable")
@@ -611,6 +626,40 @@ class ComplexMap:
 
     def __repr__(self) -> str:
         return f"<ComplexMap {self.source!r} -> {self.target!r}>"
+
+
+def _refuse_image(g: Name, stray: list) -> None:
+    raise MalformedError(f"assignment of {shown(g)} has stray term {shown(_least(stray))}")
+
+
+def _adopt_map(
+    source: BasedComplex, target: BasedComplex, assignment: dict[Name, Chain], table=None
+) -> ComplexMap:
+    """The map holding ``assignment`` itself, unchecked: only for maps derived
+    from checked data, whose assignment is in source basis order."""
+    f = _new_object(ComplexMap)
+    for field, value in zip(ComplexMap.__slots__, (source, target, assignment, table)):
+        _set_field(f, field, value)
+    return f
+
+
+def _renaming(source: BasedComplex, target: BasedComplex, table: dict[Name, Name]) -> ComplexMap:
+    """The map sending each source generator ``g`` to ``table[g]``, keeping
+    ``table`` (keyed by exactly the source generators) as its ``_table``.
+    One check in source basis order: each value must be a target generator
+    of its source generator's degree, refused as :class:`ComplexMap` does."""
+    target_degree = target._gen_degree.get
+    images: dict[Name, Chain] = {}
+    shared: dict[Name, Chain] = {}
+    for g, degree in source._gen_degree.items():
+        h = table[g]
+        if target_degree(h) != degree:
+            _refuse_image(g, [h])
+        chain = shared.get(h)
+        if chain is None:  # sources that share an image share its chain
+            chain = shared[h] = _adopt(degree, {h: 1})
+        images[g] = chain
+    return _adopt_map(source, target, images, table)
 
 
 # -- operations ------------------------------------------------------------
@@ -818,8 +867,11 @@ def sole_generator(chain: Chain) -> Name:
 
 def _bijection(f: ComplexMap) -> dict[Name, Name]:
     """The generator each source generator goes to, for ``f`` sending the
-    bases bijectively, generator to generator; else :class:`MalformedError`."""
-    table = {g: sole_generator(chain) for g, chain in f.assignment.items()}
+    bases bijectively, generator to generator; else :class:`MalformedError`.
+    A renaming's ``_table`` is read as it is."""
+    table = f._table
+    if table is None:
+        table = {g: sole_generator(chain) for g, chain in f.assignment.items()}
     if len(set(table.values())) != f.target.size or len(table) != f.target.size:
         raise MalformedError("map is not bijective on bases")
     return table
@@ -828,16 +880,11 @@ def _bijection(f: ComplexMap) -> dict[Name, Name]:
 def invert_basis_bijection(f: ComplexMap) -> ComplexMap:
     """Invert a map that sends each generator to a single generator with
     coefficient one.  Raises if ``f`` is not of that shape or not bijective."""
-    inverse = {h: chain_of(f.target.degree_of(h), g) for g, h in _bijection(f).items()}
-    return ComplexMap(f.target, f.source, inverse)
+    return _renaming(f.target, f.source, {h: g for g, h in _bijection(f).items()})
 
 
 def basis_renaming_map(
     source: BasedComplex, target: BasedComplex, rename: Callable[[Name], Name]
 ) -> ComplexMap:
     """The map sending each source generator to its renamed target generator."""
-    return ComplexMap(
-        source,
-        target,
-        {g: chain_of(deg, rename(g)) for deg, g in source.all_generators()},
-    )
+    return _renaming(source, target, {g: rename(g) for g in source._gen_degree})

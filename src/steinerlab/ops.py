@@ -18,10 +18,9 @@ Sign conventions, fixed once for the whole library:
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .basic import interval, two_points, unit
-from .colimits import PushoutResult, pushout
 from .core import (
     BasedComplex,
     Chain,
@@ -37,6 +36,9 @@ from .core import (
     direct_sum,
 )
 from .names import Name, check_depth, name_key
+
+if TYPE_CHECKING:  # only the pushout oracles load colimits, where they run
+    from .colimits import PushoutResult
 
 # -- Gray tensor product -----------------------------------------------------
 
@@ -214,6 +216,8 @@ def _collapse_pushout(
 ) -> PushoutResult:
     """Push the cylinder out along its two ends, each end generator
     collapsing onto ``sides`` by ``collapse_end(degree, generator)``."""
+    from .colimits import pushout
+
     include = basis_renaming_map(ends, cyl, lambda g: g)
     collapse = ComplexMap(
         ends,

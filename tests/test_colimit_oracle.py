@@ -14,7 +14,8 @@ from collections import Counter
 
 import pytest
 
-from steinerlab import BasedComplex, Chain, colimits
+from steinerlab import BasedComplex, Chain, ComplexMap, colimits, join_pushout, shape_library
+from steinerlab import suspension_pushout, unit
 from steinerlab.colimits import _Eliminator, _unit_classes, quotient_by_relations
 from steinerlab.core import _positions, add_scaled
 
@@ -63,6 +64,14 @@ def _sparse_case(rng: random.Random):
     return width, rows
 
 
+def _assert_rechecks(result):
+    """Every leg of a based result, adopted without a per-term check, is the
+    map ``ComplexMap`` builds from its source, target and assignment."""
+    for m in (result.leg_a, result.leg_b):
+        assert list(m.assignment) == list(m.source._gen_degree)
+        assert ComplexMap(m.source, m.target, m.assignment) == m
+
+
 def _check_against_smith(width, rows):
     ambient = _ambient(width)
     relations = [Chain(1, row) for row in rows]
@@ -79,6 +88,7 @@ def _check_against_smith(width, rows):
     rank = sum(1 for d in divisors if d != 0)
 
     if quotient is not None:
+        _assert_rechecks(result)
         assert not has_torsion
         assert quotient.size == width - rank
         # the projection kills exactly the relations
@@ -272,6 +282,8 @@ def test_unit_relations_by_union_find_match_the_eliminator(seed, monkeypatch):
     assert fast.complex == slow.complex
     assert fast.leg_a.assignment == slow.leg_a.assignment
     assert fast.leg_b is fast.leg_a
+    _assert_rechecks(fast)
+    _assert_rechecks(slow)
 
     resolved = {}
     for degree in (0, 1):
@@ -312,6 +324,7 @@ def test_a_mixed_row_set_takes_the_eliminator(monkeypatch):
     result, handed = _quotient(monkeypatch, ambient, pairs + [Chain(1, {g3: 2, g2: -1})])
     assert handed == [_rows(ambient, pairs) + [{3: 2, 2: -1}]]
     assert result.require_based().degrees == {1: (g3,)}
+    _assert_rechecks(result)
     assert [result.leg_a.of_gen(g) for g in (g0, g1, g2, g3)] == [
         Chain(1, {g3: 2})
     ] * 3 + [Chain(1, {g3: 1})]
@@ -321,3 +334,10 @@ def test_a_mixed_row_set_takes_the_eliminator(monkeypatch):
         assert _unit_classes(rows) is None
         _, handed = _quotient(monkeypatch, ambient, pairs + [Chain(1, odd)])
         assert handed == [rows]
+
+
+def test_pushout_legs_recheck():
+    """The legs of the join and suspension pushouts of every library shape."""
+    for c in shape_library(big=True).values():
+        for result in (join_pushout(c, unit()), join_pushout(unit(), c), suspension_pushout(c)):
+            _assert_rechecks(result)

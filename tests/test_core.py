@@ -29,7 +29,8 @@ from steinerlab import (
     verify_mutually_inverse,
     zero,
 )
-from steinerlab.core import SizeLimitError, SteinerlabError, sole_generator
+from steinerlab.colimits import quotient_by_relations
+from steinerlab.core import SizeLimitError, SteinerlabError, basis_renaming_map, sole_generator
 from steinerlab.ops import cube_selfduality
 from steinerlab.retract import q2, s2
 from steinerlab.steiner import pos_neg_parts
@@ -290,6 +291,7 @@ def test_summary_fails_at_the_first_failing_item_of_the_first_failing_report():
 
 _A, _E = ("a",), ("e",)
 _NOPE = Chain(1, {("nope",): 1})
+_NOT_A_NAME = "generator name must be a non-empty tuple, got 5"
 
 
 @pytest.mark.parametrize(
@@ -329,6 +331,17 @@ _NOPE = Chain(1, {("nope",): 1})
          "chain term 00 is not a degree 1 generator"),
         (lambda: cube(2).d(Chain(2, {("i0",): 1})), "MALFORMED",
          "chain term i0 is not a degree 2 generator"),
+        # a key that is not a name is refused as a name before strays are ordered
+        (lambda: cube(2).d(Chain(1, {5: 1})), "MALFORMED", _NOT_A_NAME),
+        (lambda: ComplexMap(unit(), unit(), {("u",): Chain(0, {5: 1})}), "MALFORMED",
+         _NOT_A_NAME),
+        (lambda: BasedComplex({0: [_A], 1: [_E]}, {_E: Chain(0, {5: 1})}, {_A: 1}),
+         "MALFORMED", _NOT_A_NAME),
+        (lambda: basis_renaming_map(unit(), unit(), lambda g: 5), "MALFORMED", _NOT_A_NAME),
+        (lambda: quotient_by_relations(unit(), [Chain(0, {5: 1})]), "MALFORMED",
+         _NOT_A_NAME),
+        (lambda: basis_renaming_map(interval(), oriental(1), lambda g: ("0", "1")),
+         "MALFORMED", "assignment of 0 has stray term 0.1"),
     ],
     ids=[
         "negative degree", "duplicate generator", "differential on unknown",
@@ -337,7 +350,9 @@ _NOPE = Chain(1, {("nope",): 1})
         "non-injective renaming", "negative chain degree", "unknown degree_of",
         "d in degree 0", "eps off degree 0", "d of a stray term", "map of a stray term",
         "eps of a stray term", "parts of a stray term", "d of a vertex in degree 1",
-        "d of an edge in degree 2",
+        "d of an edge in degree 2", "d of a non-name key", "map image of a non-name key",
+        "differential of a non-name key", "renaming onto a non-name",
+        "relation of a non-name key", "renaming onto a wrong degree",
     ],
 )
 def test_structural_refusals_are_coded(build, code, message):

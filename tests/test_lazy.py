@@ -131,6 +131,23 @@ def test_gen_theta_loads_no_colimits():
     assert _loaded(_cli_call(argv)) == GEN_MODULES
 
 
+# ``ops`` loads ``colimits`` only where a pushout oracle runs.
+OPS_MODULES = GEN_MODULES | {"steinerlab.ops"}
+
+
+def test_op_loads_no_colimits():
+    assert _loaded(_cli_call(["op", "susp", "oriental:3"])) == OPS_MODULES
+
+
+def test_gen_antioriental_loads_no_colimits():
+    assert _loaded(_cli_call(["gen", "antioriental", "3"])) == OPS_MODULES
+
+
+def test_verify_retract_loads_no_colimits():
+    loaded = _loaded(_cli_call(["verify-retract", "xi", "3"]))
+    assert loaded == OPS_MODULES - {"steinerlab.io"} | {"steinerlab.retract"}
+
+
 def test_atoms_of_a_shape_reference_loads_no_writer():
     # The atom terms are rendered by the CLI itself.
     loaded = _loaded(_cli_call(["atoms", "cube:2", "--json"]))

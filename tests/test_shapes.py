@@ -7,6 +7,7 @@ from steinerlab import (
     BadDimsError,
     BasedComplex,
     Chain,
+    ComplexMap,
     MalformedError,
     NameDepthError,
     ThetaSpec,
@@ -332,12 +333,22 @@ def test_decomposition_checks_stop_at_a_colimit_that_is_not_based(monkeypatch):
 
 def test_decomposition_checks_report_an_induced_map_that_does_not_decode(monkeypatch):
     """An induced image that is not one generator with coefficient 1 fails
-    INDUCED_ISO, and the comparison with the expected shape is not made."""
-    from steinerlab import core
+    INDUCED_ISO, and the comparison with the expected shape is not made.
+    The boundary check's induced map is a renaming, which carries its name
+    table, so it is replaced by a map without one whose images are doubled;
+    the top-cell check still decodes through ``sole_generator``."""
+    from steinerlab import colimits, core
+
+    real = colimits.induced_from_coequalizer
+
+    def doubled(result, w):
+        f = real(result, w)
+        return ComplexMap(f.source, f.target, {g: 2 * c for g, c in f.assignment.items()})
 
     def refuse(chain):
         raise MalformedError("not one generator with coefficient 1")
 
+    monkeypatch.setattr(colimits, "induced_from_coequalizer", doubled)
     monkeypatch.setattr(core, "sole_generator", refuse)
     assert _items(boundary_decomposition_check("cube", 2)) == [
         ("cube:2:COLIMIT_BASED", True, None),
